@@ -59,20 +59,6 @@ FD_AGREEMENT_TOL = 1e-6
 CUSP_MODULUS_BOUND = 1e3
 CUSP_CONTROL_THRESHOLD = 1e-3
 
-ANALYTIC_CHECKS = (
-    "poisson",
-    "theta-transform",
-    "row-sum2",
-    "row-sum4",
-    "g4",
-    "quasimodular",
-    "xi",
-    "ode-solution",
-    "weight1",
-    "cusp",
-)
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation knobs: q-series truncation, lattice cutoff R, row-sum
@@ -86,8 +72,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.series_order <= 0 or self.lattice_radius <= 0 or self.row_cutoff <= 0:
             raise ValueError("series_order, lattice_radius, row_cutoff must be positive")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite (got {self.tol})")
 
     def tolerance(self, check: str) -> float:
         return self.tol if self.tol is not None else TOLERANCES[check]
@@ -125,23 +111,36 @@ def _sigma3_np(limit: int) -> np.ndarray:
     return arr
 
 
-def _terms_needed(absq: float, log_coeff_bound, floor: int) -> int:
+def _terms_needed(absq: float, log_coeff_bound) -> int:
     """Smallest n with coeff_bound(n) * absq^n below 1e-18, or raise.
 
     log_coeff_bound(n) must upper-bound the log of the coefficient
-    magnitude; the scan doubles n, then the caller uses the bound directly
-    (overshooting is harmless, the extra terms are below rounding).
+    magnitude; the scan doubles n from 16, then the caller uses the bound
+    directly (overshooting is harmless, the extra terms are below rounding).
     """
     if absq >= 1.0:
         raise ValueError("im(tau) too small: |q| >= 1")
     target = math.log(1e-18)
     logq = math.log(absq) if absq > 0 else -math.inf
-    n = floor
+    n = 16
     while n <= _MAX_TERMS:
         if log_coeff_bound(n) + n * logq < target:
             return n
         n *= 2
     raise ValueError("im(tau) too small for double-precision series evaluation")
+
+
+def _truncated_sum(tau: complex, table, log_coeff_bound, cfg: EvalConfig) -> complex:
+    """sum c_n q^n over 0 <= n <= N at q = exp(2 pi i tau), with c = table(N).
+
+    N is the term count at which the tail bound exp(log_coeff_bound(n)) |q|^n
+    falls below 1e-18 (see :func:`_terms_needed`), raised to
+    cfg.series_order and rounded up to a power of two, so each cached table
+    is built at one of few sizes.
+    """
+    q = _q_from_tau(tau)
+    n = _round_up_pow2(max(_terms_needed(abs(q), log_coeff_bound), cfg.series_order))
+    return complex(np.dot(table(n), _powers(q, n)))
 
 
 def _powers(q: complex, n: int) -> np.ndarray:
@@ -190,23 +189,17 @@ def L_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """1 - 24 sum sigma(n) q^n with the term count taken from the tail bound
     24 n^2 |q|^n (sigma(n) <= n^2)."""
     tau = _require_uhp(tau)
-    q = _q_from_tau(tau)
-    n = _terms_needed(abs(q), lambda m: math.log(24.0) + 2.0 * math.log(m), 16)
-    n = max(n, cfg.series_order)
-    n = _round_up_pow2(n)
-    sig = _sigma_np(n)
-    return complex(1.0 - 24.0 * np.dot(sig[1:], _powers(q, n)[1:]))
+    return 1.0 - 24.0 * _truncated_sum(
+        tau, _sigma_np, lambda m: math.log(24.0) + 2.0 * math.log(m), cfg
+    )
 
 
 def M_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """1 + 240 sum sigma3(n) q^n; tail bound 300 n^3 |q|^n."""
     tau = _require_uhp(tau)
-    q = _q_from_tau(tau)
-    n = _terms_needed(abs(q), lambda m: math.log(300.0) + 3.0 * math.log(m), 16)
-    n = max(n, cfg.series_order)
-    n = _round_up_pow2(n)
-    sig3 = _sigma3_np(n)
-    return complex(1.0 + 240.0 * np.dot(sig3[1:], _powers(q, n)[1:]))
+    return 1.0 + 240.0 * _truncated_sum(
+        tau, _sigma3_np, lambda m: math.log(300.0) + 3.0 * math.log(m), cfg
+    )
 
 
 @lru_cache(maxsize=None)
@@ -223,29 +216,22 @@ def _phi_np(order: int) -> np.ndarray:
     return arr
 
 
-def _weight1_order(absq: float, cfg: EvalConfig) -> int:
+def _weight1_bound(n: int) -> float:
     # psi and phi coefficients grow like exp(2 pi sqrt(n/3)); 3.63 sqrt(n)
     # over-covers both.
-    n = _terms_needed(absq, lambda m: 3.63 * math.sqrt(m), 16)
-    return _round_up_pow2(max(n, cfg.series_order))
+    return 3.63 * math.sqrt(n)
 
 
 def g_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """g(tau) = exp(-i pi tau / 6) * psi(q), the nowhere-zero solution."""
     tau = _require_uhp(tau)
-    q = _q_from_tau(tau)
-    order = _weight1_order(abs(q), cfg)
-    coeffs = _psi_np(order)
-    return complex(cmath.exp(-1j * _PI * tau / 6.0) * np.dot(coeffs, _powers(q, order)))
+    return cmath.exp(-1j * _PI * tau / 6.0) * _truncated_sum(tau, _psi_np, _weight1_bound, cfg)
 
 
 def h_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """h(tau) = exp(+i pi tau / 6) * phi(q), the companion solution."""
     tau = _require_uhp(tau)
-    q = _q_from_tau(tau)
-    order = _weight1_order(abs(q), cfg)
-    coeffs = _phi_np(order)
-    return complex(cmath.exp(1j * _PI * tau / 6.0) * np.dot(coeffs, _powers(q, order)))
+    return cmath.exp(1j * _PI * tau / 6.0) * _truncated_sum(tau, _phi_np, _weight1_bound, cfg)
 
 
 def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -521,18 +507,14 @@ def _termwise_second_derivative(kind: str, tau: complex, cfg: EvalConfig) -> com
     g(tau) = sum b_n exp(i pi (12n - 1) tau / 6) and h likewise with
     (12n + 1), so the n-th term picks up -(pi (12n -+ 1) / 6)^2.
     """
-    q = _q_from_tau(tau)
-    order = _weight1_order(abs(q), cfg)
-    if kind == "g":
-        coeffs = _psi_np(order)
-        sign = -1
-    else:
-        coeffs = _phi_np(order)
-        sign = 1
-    n = np.arange(order + 1)
-    freq = _PI * (12 * n + sign) / 6.0
+    sign, table = (-1, _psi_np) if kind == "g" else (1, _phi_np)
+
+    def differentiated(order: int) -> np.ndarray:
+        freq = _PI * (12 * np.arange(order + 1) + sign) / 6.0
+        return table(order) * freq * freq
+
     prefactor = cmath.exp(sign * 1j * _PI * tau / 6.0)
-    return complex(-prefactor * np.dot(coeffs * freq * freq, _powers(q, order)))
+    return -prefactor * _truncated_sum(tau, differentiated, _weight1_bound, cfg)
 
 
 def _fd_second_derivative(func, tau: complex, step: float = FD_STEP) -> complex:

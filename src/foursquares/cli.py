@@ -9,12 +9,14 @@ with the same pass/fail content as the text form.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import analytic, forms, modgroup
-from .analytic import ANALYTIC_CHECKS, EvalConfig
+from .analytic import DEFAULT_CONFIG, EvalConfig
 from .modgroup import MembershipError, Mat2Z
 from .numtheory import jacobi_count, r4_bruteforce
 from .qseries import format_golden, parse_golden
@@ -24,6 +26,29 @@ DEFAULT_TAU = complex(0.3, 1.1)
 # The level-4 invariance check needs im(A tau) >= 0.05 for its default
 # matrix U, which the shared default tau misses; this point clears it.
 XI_DEFAULT_TAU = complex(0.1, 0.5)
+POISSON_POINTS = (0.1, 0.5, 1.0, 2.0)
+
+# verify-analytic name -> (check function in `analytic`, default tau, default
+# matrix).  A None default means the check takes no such argument and ignores
+# the flag.  Checks are looked up by name at call time, so a rebound module
+# attribute (a tracer, a test double) sees every call.
+_ANALYTIC = {
+    "poisson": ("check_poisson", None, None),
+    "theta-transform": ("check_theta_transform", DEFAULT_TAU, None),
+    "row-sum2": ("check_row_sum2", DEFAULT_TAU, None),
+    "row-sum4": ("check_row_sum4", DEFAULT_TAU, None),
+    "g4": ("check_G4_expansion", DEFAULT_TAU, None),
+    "quasimodular": ("check_L_quasimodular", DEFAULT_TAU, modgroup.MAT_S),
+    "xi": ("check_Xi_invariance", XI_DEFAULT_TAU, modgroup.MAT_U),
+    "ode-solution": ("check_ode_solution", DEFAULT_TAU, None),
+    "weight1": ("check_weight1_invariance", DEFAULT_TAU, modgroup.MAT_S),
+    "cusp": ("check_cusp_boundedness", None, None),
+}
+ANALYTIC_CHECKS = tuple(_ANALYTIC)
+
+# argparse takes only plain negative numbers as positionals or option values;
+# without this, a point such as -6.7,3.4 would read as an unknown option.
+_NEGATIVE_TAU = re.compile(r"^-(\d|\.\d|[^,]*,)")
 
 USAGE_ERROR = 2
 
@@ -36,6 +61,8 @@ def _parse_tau(text: str) -> complex:
         raise argparse.ArgumentTypeError(
             f"expected tau as re,im (got {text!r})"
         ) from None
+    if not cmath.isfinite(tau):
+        raise argparse.ArgumentTypeError(f"tau must be finite (got {text!r})")
     if tau.imag <= 0:
         raise argparse.ArgumentTypeError("tau must have positive imaginary part")
     return tau
@@ -74,10 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=ANALYTIC_CHECKS)
     p.add_argument("--tau", type=_parse_tau, default=None)
     p.add_argument("--matrix", type=_parse_matrix_arg, default=None)
-    p.add_argument("--series-order", type=int, default=200)
-    p.add_argument("--lattice-radius", type=int, default=3000)
-    p.add_argument("--row-cutoff", type=int, default=200_000)
+    for field in ("series_order", "lattice_radius", "row_cutoff"):
+        p.add_argument("--" + field.replace("_", "-"), type=int,
+                       default=getattr(DEFAULT_CONFIG, field))
     p.add_argument("--tol", type=float, default=None)
+    p._negative_number_matcher = _NEGATIVE_TAU
     add_format(p)
 
     p = sub.add_parser("r4", help="four-square count three ways")
@@ -86,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-tau", help="reduce a point into the fundamental domain")
     p.add_argument("tau", type=_parse_tau)
+    p._negative_number_matcher = _NEGATIVE_TAU
     add_format(p)
 
     p = sub.add_parser("decompose", help="write a matrix as a word in T and U")
@@ -100,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
-        print(json.dumps(payload), file=out)
+        print(json.dumps(payload, allow_nan=False), file=out)
     else:
         for line in lines:
             print(line, file=out)
@@ -164,27 +193,16 @@ def _cmd_verify(args, out) -> int:
 
 
 def _analytic_reports(name: str, tau: complex | None, matrix, cfg: EvalConfig):
+    check_name, default_tau, default_matrix = _ANALYTIC[name]
+    check = getattr(analytic, check_name)
     if name == "poisson":
-        return [analytic.check_poisson(t, cfg) for t in (0.1, 0.5, 1.0, 2.0)]
-    if name == "theta-transform":
-        return [analytic.check_theta_transform(tau or DEFAULT_TAU, cfg)]
-    if name == "row-sum2":
-        return [analytic.check_row_sum2(tau or DEFAULT_TAU, cfg)]
-    if name == "row-sum4":
-        return [analytic.check_row_sum4(tau or DEFAULT_TAU, cfg)]
-    if name == "g4":
-        return [analytic.check_G4_expansion(tau or DEFAULT_TAU, cfg)]
-    if name == "quasimodular":
-        return [analytic.check_L_quasimodular(tau or DEFAULT_TAU, matrix or modgroup.MAT_S, cfg)]
-    if name == "xi":
-        return [analytic.check_Xi_invariance(tau or XI_DEFAULT_TAU, matrix or modgroup.MAT_U, cfg)]
-    if name == "ode-solution":
-        return [analytic.check_ode_solution(tau or DEFAULT_TAU, cfg)]
-    if name == "weight1":
-        return [analytic.check_weight1_invariance(tau or DEFAULT_TAU, matrix or modgroup.MAT_S, cfg)]
-    if name == "cusp":
-        return [analytic.check_cusp_boundedness(cfg)]
-    raise AssertionError(name)
+        return [check(t, cfg) for t in POISSON_POINTS]
+    args = []
+    if default_tau is not None:
+        args.append(default_tau if tau is None else tau)
+    if default_matrix is not None:
+        args.append(default_matrix if matrix is None else matrix)
+    return [check(*args, cfg)]
 
 
 def _cmd_verify_analytic(args, out) -> int:

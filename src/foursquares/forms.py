@@ -26,22 +26,34 @@ from .numtheory import (
     sigma3_table,
     sigma_table,
 )
-from .qseries import QSeries, exp0, qderiv, substitute_neg
+from .qseries import QSeries, exp0, qderiv, recurrence, substitute_neg
 from .report import CheckReport
 
 DEFAULT_ORDER = 500
 
-NAMED_SERIES = ("theta", "theta4", "L", "M", "psi", "phi", "P")
-
-VERIFICATIONS = (
-    "jacobi",
-    "lagrange",
-    "full-jacobi",
-    "ode",
-    "psi-triple",
-    "lambert",
-    "proportionality",
-)
+# Display name -> constructor, and check name -> verifier.  Entries name
+# functions of this module and are looked up at call time, so a rebound
+# module attribute (a tracer, a test double) sees every call.
+_SERIES = {
+    "theta": "theta",
+    "theta4": "theta4",
+    "L": "series_L",
+    "M": "series_M",
+    "psi": "psi_by_recursion",
+    "phi": "phi_by_recursion",
+    "P": "partition_series",
+}
+_VERIFIERS = {
+    "jacobi": "verify_jacobi",
+    "lagrange": "verify_lagrange",
+    "full-jacobi": "verify_full_jacobi",
+    "ode": "verify_ramanujan_ode",
+    "psi-triple": "verify_psi_triple",
+    "lambert": "verify_sigma_lambert",
+    "proportionality": "verify_final_proportionality",
+}
+NAMED_SERIES = tuple(_SERIES)
+VERIFICATIONS = tuple(_VERIFIERS)
 
 
 def theta(order: int) -> QSeries:
@@ -93,18 +105,10 @@ def psi_by_recursion(order: int) -> QSeries:
     The coefficients are provably integers; a non-integral value would
     falsify that, so it raises rather than warns.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    sig = sigma_table(order) if order >= 1 else [0]
-    b = [Fraction(1)]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += sig[k] * b[n - k]
-        bn = 2 * acc / n
-        if bn.denominator != 1:
+    b = recurrence(sigma_table(max(order, 1)), lambda n: Fraction(2, n), order)
+    for n, bn in enumerate(b):
+        if not isinstance(bn, int):
             raise ArithmeticError(f"b_{n} = {bn} is not an integer")
-        b.append(bn)
     return QSeries(b)
 
 
@@ -114,16 +118,9 @@ def psi_by_sigma3_recursion(order: int) -> QSeries:
     Agreement with :func:`psi_by_recursion` is exactly the formal content of
     the Ramanujan differential identity.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    sig3 = sigma3_table(order) if order >= 1 else [0]
-    b = [Fraction(1)]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += sig3[k] * b[n - k]
-        b.append(10 * acc / (n * (6 * n - 1)))
-    return QSeries(b)
+    return QSeries(
+        recurrence(sigma3_table(max(order, 1)), lambda n: Fraction(10, n * (6 * n - 1)), order)
+    )
 
 
 def psi_by_exp(order: int) -> QSeries:
@@ -142,33 +139,16 @@ def psi_by_partition_square(order: int) -> QSeries:
 
 def phi_by_recursion(order: int) -> QSeries:
     """phi from a_0 = 1, a_n = 10/(n(6n+1)) sum sigma3(k) a_{n-k}; exact rationals."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    sig3 = sigma3_table(order) if order >= 1 else [0]
-    a = [Fraction(1)]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += sig3[k] * a[n - k]
-        a.append(10 * acc / (n * (6 * n + 1)))
-    return QSeries(a)
+    return QSeries(
+        recurrence(sigma3_table(max(order, 1)), lambda n: Fraction(10, n * (6 * n + 1)), order)
+    )
 
 
 def named_series(name: str, order: int) -> QSeries:
     """Look up a series constructor by its display name."""
-    builders = {
-        "theta": theta,
-        "theta4": theta4,
-        "L": series_L,
-        "M": series_M,
-        "psi": psi_by_recursion,
-        "phi": phi_by_recursion,
-        "P": partition_series,
-    }
-    try:
-        return builders[name](order)
-    except KeyError:
-        raise ValueError(f"unknown series {name!r}; expected one of {NAMED_SERIES}") from None
+    if name not in _SERIES:
+        raise ValueError(f"unknown series {name!r}; expected one of {NAMED_SERIES}")
+    return globals()[_SERIES[name]](order)
 
 
 # ----------------------------------------------------------------- verifiers
@@ -327,17 +307,6 @@ def verify_final_proportionality(order: int = DEFAULT_ORDER) -> CheckReport:
 
 def run_verification(name: str, order: int) -> CheckReport:
     """Dispatch a named coefficient-exact verification."""
-    runners = {
-        "jacobi": verify_jacobi,
-        "lagrange": verify_lagrange,
-        "full-jacobi": verify_full_jacobi,
-        "ode": verify_ramanujan_ode,
-        "psi-triple": verify_psi_triple,
-        "lambert": verify_sigma_lambert,
-        "proportionality": verify_final_proportionality,
-    }
-    try:
-        runner = runners[name]
-    except KeyError:
-        raise ValueError(f"unknown verification {name!r}; expected one of {VERIFICATIONS}") from None
-    return runner(order)
+    if name not in _VERIFIERS:
+        raise ValueError(f"unknown verification {name!r}; expected one of {VERIFICATIONS}")
+    return globals()[_VERIFIERS[name]](order)

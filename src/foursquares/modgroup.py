@@ -106,14 +106,6 @@ def parse_matrix(text: str) -> Mat2Z:
     return Mat2Z(*(int(g) for g in m.groups()))
 
 
-def mat_mul(x: Mat2Z, y: Mat2Z) -> Mat2Z:
-    return x * y
-
-
-def mat_inv(x: Mat2Z) -> Mat2Z:
-    return x.inv()
-
-
 def mobius(m: Mat2Z, tau: complex) -> complex:
     """The action (a tau + b) / (c tau + d) on the upper half plane."""
     if tau.imag <= 0:

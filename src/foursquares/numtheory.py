@@ -8,7 +8,7 @@ All functions are pure; callers may fan out over n with no coordination.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -126,7 +126,3 @@ def jacobi_count(n: int) -> int:
     if n <= 0:
         raise ValueError("n must be >= 1")
     return 8 * sum(d for d in divisors(n) if d % 4 != 0)
-
-
-def coprime(m: int, n: int) -> bool:
-    return gcd(m, n) == 1

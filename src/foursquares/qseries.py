@@ -14,9 +14,10 @@ factor's order up by k, so q * (series of order N) is known through q^(N+1).
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 # Exact rational coefficient type: arbitrary precision, always in lowest
 # terms with positive denominator (guaranteed by the Fraction class).
@@ -25,7 +26,6 @@ Rational = Fraction
 Scalar = int | Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact(value) -> Fraction:
@@ -186,21 +186,6 @@ def _coerce(x: "QSeries | Scalar", order: int) -> QSeries:
     raise TypeError(f"cannot combine QSeries with {type(x).__name__}")
 
 
-def add(a: QSeries, b: QSeries) -> QSeries:
-    """Coefficientwise sum, truncated to the smaller order."""
-    return a + b
-
-
-def mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product, truncated to the smaller order."""
-    return a * b
-
-
-def pow(a: QSeries, k: int) -> QSeries:  # noqa: A001 - mirrors the operation name
-    """k-th power by binary exponentiation; pow(a, 0) = 1."""
-    return a ** k
-
-
 def qderiv(a: QSeries) -> QSeries:
     """The operator q*d/dq: coefficient n is mapped to n*c_n.  Order preserved."""
     return QSeries([n * c for n, c in enumerate(a.coeffs)])
@@ -236,16 +221,32 @@ def exp0(a: QSeries) -> QSeries:
     """
     if a[0] != 0:
         raise ValueError("exp0 requires constant term exactly 0")
-    n = a.order
-    e = [_ZERO] * (n + 1)
-    e[0] = _ONE
-    for m in range(1, n + 1):
-        acc = _ZERO
-        for k in range(1, m + 1):
-            if a[k]:
-                acc += k * a[k] * e[m - k]
-        e[m] = acc / m
-    return QSeries(e)
+    return QSeries(recurrence(qderiv(a).coeffs, lambda n: Fraction(1, n), a.order))
+
+
+def recurrence(
+    s: Sequence[Scalar], weight: Callable[[int], Scalar], order: int
+) -> list[Scalar]:
+    """[x_0, ..., x_order] for x_0 = 1, x_n = weight(n) * sum_{k=1}^{n} s_k x_{n-k}.
+
+    Exact: s needs the entries s_1 .. s_order (s_0 is never read).  Every
+    value whose denominator is 1, input or output, is held as a plain int,
+    so a recurrence with integral values runs in int arithmetic throughout.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if len(s) <= order:
+        raise ValueError(f"recurrence to order {order} needs s_1 .. s_{order}")
+    s = [_plain(c) for c in s[1 : order + 1]]
+    x: list[Scalar] = [1]
+    for n in range(1, order + 1):
+        # reversed(x) runs x_{n-1} .. x_0 against s_1 .. s_n; map stops at n terms
+        x.append(_plain(weight(n) * sum(map(operator.mul, reversed(x), s))))
+    return x
+
+
+def _plain(value: Scalar) -> Scalar:
+    return value.numerator if value.denominator == 1 else value
 
 
 def substitute_neg(a: QSeries) -> QSeries:

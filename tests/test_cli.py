@@ -92,11 +92,12 @@ class TestVerifyAnalytic:
         assert "PASS" in out
 
     def test_quasimodular_with_matrix(self):
-        code, out, _ = invoke(
-            ["verify-analytic", "quasimodular", "--tau", "0.1,1.2",
-             "--matrix", "[[0,-1],[1,0]]"]
-        )
-        assert code == 0
+        for tau in ("0.1,1.2", "-0.1,1.2"):
+            code, out, _ = invoke(
+                ["verify-analytic", "quasimodular", "--tau", tau,
+                 "--matrix", "[[0,-1],[1,0]]"]
+            )
+            assert code == 0
 
     def test_xi_default_runs_with_zero_flags(self):
         code, out, _ = invoke(["verify-analytic", "xi"])
@@ -132,6 +133,11 @@ class TestVerifyAnalytic:
         )
         assert code == 2
         assert "0.05" in err
+        for flags in (["--tol", "inf"], ["--tol", "nan"], ["--tau", "nan,1"], ["--tau", "1,inf"]):
+            code, out, err = invoke(["verify-analytic", "theta-transform", *flags])
+            assert code == 2 and out == ""
+            if flags[0] == "--tol":
+                assert "finite" in err
 
     def test_xi_outside_group_fails(self):
         code, _, err = invoke(
@@ -171,11 +177,19 @@ class TestReduceTau:
         assert doc["in_domain"] is True
         assert doc["reduced"][1] >= 0.05
 
+    def test_negative_real_part(self):
+        code, out, _ = invoke(["reduce-tau", "-6.7,3.4"])
+        assert code == 0
+        assert "T^7" in out
+
     def test_bad_tau(self):
         code, _, _ = invoke(["reduce-tau", "1,-1"])
         assert code == 2
         code, _, _ = invoke(["reduce-tau", "fish"])
         assert code == 2
+        for text in ("nan,1", "-inf,1", "0,nan"):
+            code, out, _ = invoke(["reduce-tau", text])
+            assert code == 2 and out == ""
 
 
 class TestDecompose:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from foursquares import forms
 from foursquares.forms import (
     named_series,
     partition_series,
@@ -27,8 +28,8 @@ from foursquares.forms import (
     verify_sigma_lambert,
     _ode_report,
 )
-from foursquares.numtheory import r4_bruteforce, sigma, sigma3
-from foursquares.qseries import QSeries, parse_golden
+from foursquares.numtheory import r4_bruteforce, sigma, sigma3, sigma3_table, sigma_table
+from foursquares.qseries import QSeries, parse_golden, recurrence
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -126,6 +127,21 @@ class TestPsiPhi:
         psi = psi_by_recursion(200)
         assert all(c.denominator == 1 for c in psi.coeffs)
 
+    def test_psi_recurrence_stays_in_int(self):
+        b = recurrence(sigma_table(200), lambda n: Fraction(2, n), 200)
+        assert all(type(bn) is int for bn in b)
+
+    def test_non_integral_psi_coefficient_raises(self, monkeypatch):
+        # with sigma replaced by s_1 = 1, s_k = 0 the recursion gives 2^n/n!
+        monkeypatch.setattr(forms, "sigma_table", lambda order: [0, 1] + [0] * (order - 1))
+        with pytest.raises(ArithmeticError, match="b_3 = 4/3"):
+            psi_by_recursion(3)
+
+    def test_recursions_match_fraction_oracles(self):
+        order = 200
+        assert phi_by_recursion(order) == _phi_oracle(order)
+        assert psi_by_recursion(order) == _psi_oracle(order)
+
 
 class TestVerifiers:
     def test_ode_small_order(self):
@@ -216,6 +232,33 @@ class TestGoldenFiles:
         golden = parse_golden((GOLDEN_DIR / f"{name}.txt").read_text())
         assert golden.order == 100
         assert named_series(name, 100) == golden
+
+
+def _psi_oracle(order):
+    """The Fraction loop psi_by_recursion ran before the shared recurrence."""
+    sig = sigma_table(order)
+    b = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            acc += sig[k] * b[n - k]
+        bn = 2 * acc / n
+        if bn.denominator != 1:
+            raise ArithmeticError(f"b_{n} = {bn} is not an integer")
+        b.append(bn)
+    return QSeries(b)
+
+
+def _phi_oracle(order):
+    """The Fraction loop phi_by_recursion ran before the shared recurrence."""
+    sig3 = sigma3_table(order)
+    a = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            acc += sig3[k] * a[n - k]
+        a.append(10 * acc / (n * (6 * n + 1)))
+    return QSeries(a)
 
 
 def _neg(series):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from foursquares.qseries import (
     QSeries,
-    add,
     exp0,
     format_golden,
     format_series,
     log1,
-    mul,
     parse_golden,
     parse_series,
     qderiv,
@@ -254,13 +252,6 @@ class TestText:
     def test_golden_sequence_enforced(self):
         with pytest.raises(ValueError):
             parse_golden("0: 1\n2: 3\n")
-
-
-class TestFunctionAliases:
-    def test_module_level_ops(self):
-        a, b = series(1, 2), series(3, 4)
-        assert add(a, b) == a + b
-        assert mul(a, b) == a * b
 
 
 class TestExactness:
