@@ -84,6 +84,8 @@ DEFAULT_CONFIG = EvalConfig()
 
 def _require_uhp(tau: complex) -> complex:
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau must be finite (got {tau})")
     if tau.imag <= 0:
         raise ValueError("tau must satisfy im(tau) > 0")
     return tau

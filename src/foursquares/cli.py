@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import re
 import sys
@@ -29,7 +30,7 @@ XI_DEFAULT_TAU = complex(0.1, 0.5)
 POISSON_POINTS = (0.1, 0.5, 1.0, 2.0)
 
 # verify-analytic name -> (check function in `analytic`, default tau, default
-# matrix).  A None default means the check takes no such argument and ignores
+# matrix).  A None default means the check takes no such argument and rejects
 # the flag.  Checks are looked up by name at call time, so a rebound module
 # attribute (a tracer, a test double) sees every call.
 _ANALYTIC = {
@@ -194,6 +195,10 @@ def _cmd_verify(args, out) -> int:
 
 def _analytic_reports(name: str, tau: complex | None, matrix, cfg: EvalConfig):
     check_name, default_tau, default_matrix = _ANALYTIC[name]
+    for flag, value, default in (("--tau", tau, default_tau),
+                                 ("--matrix", matrix, default_matrix)):
+        if value is not None and default is None:
+            raise ValueError(f"verify-analytic {name} takes no {flag}")
     check = getattr(analytic, check_name)
     if name == "poisson":
         return [check(t, cfg) for t in POISSON_POINTS]
@@ -308,7 +313,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

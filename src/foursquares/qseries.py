@@ -14,6 +14,7 @@ factor's order up by k, so q * (series of order N) is known through q^(N+1).
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -142,16 +143,7 @@ class QSeries:
             out_order = self.order + kb
         else:
             out_order = min(self.order, other.order)
-        out = [_ZERO] * (out_order + 1)
-        for i, ai in enumerate(self._coeffs):
-            if not ai or i > out_order:
-                continue
-            jmax = min(other.order, out_order - i)
-            for j in range(jmax + 1):
-                bj = other._coeffs[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return QSeries(out)
+        return QSeries(_convolve(self._coeffs, other._coeffs, out_order))
 
     def __rmul__(self, other: Scalar) -> "QSeries":
         return self.__mul__(other)
@@ -186,6 +178,41 @@ def _coerce(x: "QSeries | Scalar", order: int) -> QSeries:
     raise TypeError(f"cannot combine QSeries with {type(x).__name__}")
 
 
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
+    """Exact coefficients c_0 .. c_n of (sum a_i q^i) * (sum b_j q^j).
+
+    Kronecker substitution: each factor, scaled to integers over the common
+    denominator of its coefficients and split into its positive and negative
+    parts, is packed into one int with a fixed-width slot per coefficient, so
+    one int product holds c_k in slot k.  A slot holds the largest sum any
+    c_k can reach, so none carries into the next.  Packing and unpacking go
+    through bytes, which is linear in the size; a shift per slot is quadratic.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    ia = [c.numerator * (da // c.denominator) for c in a]
+    ib = [c.numerator * (db // c.denominator) for c in b]
+    if not any(ia) or not any(ib):
+        return [_ZERO] * (n + 1)
+    bound = max(map(abs, ia)) * max(map(abs, ib)) * min(len(ia), len(ib))
+    width = bound.bit_length() // 8 + 1
+    size = (n + 1) * width
+
+    def pack(xs: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in xs), "little")
+
+    def unpack(value: int) -> list[int]:
+        data = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+
+    a_pos, a_neg = pack(max(x, 0) for x in ia), pack(max(-x, 0) for x in ia)
+    b_pos, b_neg = pack(max(x, 0) for x in ib), pack(max(-x, 0) for x in ib)
+    plus = unpack(a_pos * b_pos + a_neg * b_neg)
+    minus = unpack(a_pos * b_neg + a_neg * b_pos)
+    return [Fraction(p - m, da * db) for p, m in zip(plus, minus)]
+
+
 def qderiv(a: QSeries) -> QSeries:
     """The operator q*d/dq: coefficient n is mapped to n*c_n.  Order preserved."""
     return QSeries([n * c for n, c in enumerate(a.coeffs)])
@@ -194,24 +221,14 @@ def qderiv(a: QSeries) -> QSeries:
 def log1(a: QSeries) -> QSeries:
     """Formal logarithm of a series with constant term exactly 1.
 
-    Uses qderiv(log a) = qderiv(a)/a: the quotient v solves v*a = qderiv(a)
-    coefficient by coefficient, and log(a) integrates v.
+    Uses qderiv(log a) = qderiv(a)/a: the inverse 1/a solves x_0 = 1,
+    x_n = -sum_{k=1}^{n} a_k x_{n-k}, and log(a) integrates qderiv(a) * (1/a).
     """
     if a[0] != 1:
         raise ValueError("log1 requires constant term exactly 1")
-    n = a.order
-    u = qderiv(a)
-    v = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        acc = u[m]
-        for k in range(1, m + 1):
-            if a[k]:
-                acc -= a[k] * v[m - k]
-        v[m] = acc
-    out = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        out[m] = v[m] / m
-    return QSeries(out)
+    inverse = QSeries(recurrence([-c for c in a.coeffs], lambda n: 1, a.order))
+    v = qderiv(a) * inverse
+    return QSeries([0] + [v[m] / m for m in range(1, a.order + 1)])
 
 
 def exp0(a: QSeries) -> QSeries:

@@ -87,6 +87,15 @@ class TestLMeval:
             L_eval(0.5 + 1e-4j)
 
 
+@pytest.mark.parametrize("evaluate", [L_eval, theta_eval, g_eval])
+@pytest.mark.parametrize("tau", [
+    complex(math.nan, 1), complex(0.3, math.nan), complex(0.3, math.inf), complex(-math.inf, 1),
+])
+def test_non_finite_tau_rejected(evaluate, tau):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(tau)
+
+
 class TestPoisson:
     def test_self_dual_point(self):
         assert check_poisson(0.5).error == 0.0

@@ -136,8 +136,18 @@ class TestVerifyAnalytic:
         for flags in (["--tol", "inf"], ["--tol", "nan"], ["--tau", "nan,1"], ["--tau", "1,inf"]):
             code, out, err = invoke(["verify-analytic", "theta-transform", *flags])
             assert code == 2 and out == ""
-            if flags[0] == "--tol":
-                assert "finite" in err
+            assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["poisson", "--tau", "0.3,1"],
+        ["poisson", "--matrix", "[[1,1],[0,1]]"],
+        ["cusp", "--tau", "0.3,1", "--matrix", "[[1,1],[0,1]]"],
+        ["theta-transform", "--matrix", "[[1,1],[0,1]]"],
+    ])
+    def test_flag_the_check_does_not_take_is_usage_error(self, argv):
+        code, out, err = invoke(["verify-analytic", *argv])
+        assert code == 2 and out == ""
+        assert f"verify-analytic {argv[0]} takes no" in err
 
     def test_xi_outside_group_fails(self):
         code, _, err = invoke(
@@ -228,12 +238,14 @@ class TestExitCodeContract:
         assert code == 2
 
     def test_unknown_subcommand(self):
-        code, _, _ = invoke(["frobnicate"])
+        code, out, err = invoke(["frobnicate"])
         assert code == 2
+        assert out == "" and "invalid choice" in err
 
     def test_help_exits_zero(self):
-        code, _, _ = invoke(["--help"])
+        code, out, err = invoke(["--help"])
         assert code == 0
+        assert out.startswith("usage: foursquares") and err == ""
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(min_size=1, max_size=12))

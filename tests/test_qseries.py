@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from foursquares.forms import theta4
+from foursquares.numtheory import jacobi_count
 from foursquares.qseries import (
     QSeries,
     exp0,
@@ -92,6 +94,74 @@ class TestMul:
         got = QSeries.monomial(2, 1) * QSeries.monomial(3, 2)
         assert got.order == 3
         assert got[3] == 6
+
+
+def schoolbook_mul(a, b):
+    """The quadratic Fraction product, with QSeries.__mul__'s order rule.
+
+    Reference for the packed-integer kernel behind ``*``.
+    """
+    ka = a._monomial_degree()
+    kb = b._monomial_degree()
+    if ka is not None and kb is not None:
+        out_order = min(a.order + kb, b.order + ka)
+    elif ka is not None:
+        out_order = b.order + ka
+    elif kb is not None:
+        out_order = a.order + kb
+    else:
+        out_order = min(a.order, b.order)
+    out = [Fraction(0)] * (out_order + 1)
+    for i, ai in enumerate(a.coeffs):
+        if not ai or i > out_order:
+            continue
+        for j in range(min(b.order, out_order - i) + 1):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return QSeries(out)
+
+
+# Coefficients for the kernel: small signed rationals with unlike
+# denominators, zeros, and integers and fractions near 2^200 that need wide
+# slots in the packed product.
+_near_2_200 = st.integers(min_value=2**200 - 2**16, max_value=2**200)
+kernel_coeffs = st.one_of(
+    rationals,
+    st.just(Fraction(0)),
+    _near_2_200,
+    _near_2_200.map(lambda v: -v),
+    st.builds(Fraction, _near_2_200, st.integers(min_value=1, max_value=2**64)),
+)
+kernel_series = st.one_of(
+    st.lists(kernel_coeffs, min_size=1, max_size=12).map(QSeries),
+    st.integers(min_value=0, max_value=8).map(QSeries.zero),
+    st.builds(
+        lambda c, degree, extra: QSeries.monomial(c, degree, degree + extra),
+        kernel_coeffs.filter(bool),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=4),
+    ),
+)
+
+
+class TestMulKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_series, kernel_series)
+    @example(QSeries([-3, 5, -7]), QSeries([2, -1, 0, 4]))
+    @example(QSeries([Fraction(1, 3), Fraction(-2, 5)]), QSeries([Fraction(5, 7), 1]))
+    @example(QSeries.zero(4), QSeries([1, 2, 3]))
+    @example(QSeries([Fraction(-5, 2)]), QSeries([Fraction(7, 3)]))
+    @example(QSeries.monomial(-2, 3), QSeries([1, 1, 1]))
+    @example(QSeries([2**200, -(2**200)] * 5), QSeries([-(2**200), 2**200 - 1] * 5))
+    def test_matches_schoolbook(self, a, b):
+        got = a * b
+        assert got == schoolbook_mul(a, b)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_theta4_at_4000_matches_jacobi(self):
+        t4 = theta4(4000)
+        assert t4[0] == 1
+        assert all(t4[n] == jacobi_count(n) for n in range(1, 4001))
 
 
 class TestPow:
