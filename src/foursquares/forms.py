@@ -8,7 +8,9 @@ Constructors for the series in play:
     series_L  1 - 24 * sum sigma(n) q^n
     series_M  1 + 240 * sum sigma3(n) q^n
     psi       the weight-1 density factor, three independent constructions
-    phi       the companion solution's series, by recursion
+    phi       the companion solution's series, by recursion and, as a check,
+              by reduction of order: P(q)^2 times the term-by-term
+              integral of prod (1-q^n)^4
     partition_series   P(q) = sum p(k) q^k
 
 The verify_* functions re-derive both sides of an identity through
@@ -144,6 +146,33 @@ def phi_by_recursion(order: int) -> QSeries:
     )
 
 
+def phi_by_reduction_of_order(order: int) -> QSeries:
+    """phi as P(q)^2 * sum e_n q^n/(6n+1), where sum e_n q^n = prod (1-q^n)^4.
+
+    Reduction of order: h = g * integral of 1/g^2, and 1/g^2 = eta^4 =
+    q^(1/6) prod (1-q^n)^4, so integrating term by term in tau divides
+    e_n by n + 1/6.  Independent of the sigma3 recursion; a check, not the
+    fast path.
+    """
+    psi = psi_by_partition_square(order)
+    e = _euler_product(order) ** 4
+    return psi * QSeries([c / (6 * n + 1) for n, c in enumerate(e.coeffs)])
+
+
+def _euler_product(order: int) -> QSeries:
+    """prod (1-q^n) by Euler's pentagonal number theorem: coefficient
+    (-1)^k at each generalised pentagonal number k(3k-1)/2, k in Z."""
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= order:
+                coeffs[g] = -1 if k & 1 else 1
+        k += 1
+    return QSeries(coeffs)
+
+
 def named_series(name: str, order: int) -> QSeries:
     """Look up a series constructor by its display name."""
     if name not in _SERIES:
@@ -242,16 +271,19 @@ def verify_sigma_lambert(order: int = DEFAULT_ORDER) -> CheckReport:
 
 def verify_psi_triple(order: int = 300) -> CheckReport:
     """All constructions of psi agree, coefficients are positive integers,
-    and the companion coefficients satisfy 0 < a_n <= b_n throughout."""
+    both constructions of phi agree, and the companion coefficients satisfy
+    0 < a_n <= b_n throughout."""
     if order < 1:
         raise ValueError("order must be >= 1")
     by_rec = psi_by_recursion(order)
-    for name, other in (
-        ("exp-construction", psi_by_exp(order)),
-        ("partition-square", psi_by_partition_square(order)),
-        ("sigma3-recursion", psi_by_sigma3_recursion(order)),
+    a = phi_by_recursion(order)
+    for name, other, ref in (
+        ("exp-construction", psi_by_exp(order), by_rec),
+        ("partition-square", psi_by_partition_square(order), by_rec),
+        ("sigma3-recursion", psi_by_sigma3_recursion(order), by_rec),
+        ("reduction-of-order", phi_by_reduction_of_order(order), a),
     ):
-        bad = _first_mismatch(other, by_rec, order)
+        bad = _first_mismatch(other, ref, order)
         if bad is not None:
             n, g, w = bad
             return CheckReport(
@@ -260,7 +292,6 @@ def verify_psi_triple(order: int = 300) -> CheckReport:
                 order=order,
                 witness=f"{name} coefficient {n}: got {g}, expected {w}",
             )
-    a = phi_by_recursion(order)
     for n in range(order + 1):
         if by_rec[n] <= 0:
             return CheckReport(

@@ -247,23 +247,42 @@ def recurrence(
     """[x_0, ..., x_order] for x_0 = 1, x_n = weight(n) * sum_{k=1}^{n} s_k x_{n-k}.
 
     Exact: s needs the entries s_1 .. s_order (s_0 is never read).  Every
-    value whose denominator is 1, input or output, is held as a plain int,
-    so a recurrence with integral values runs in int arithmetic throughout.
+    returned value whose denominator is 1 is a plain int.
+
+    The work runs in ints: s_k = S_k/ds over the lcm ds of its denominators,
+    and x_k = X_k/D over one running common denominator D, so each sum is
+    one dot product of ints.  A step builds a Fraction only when its value
+    is not an integer; when that value's denominator brings a factor D
+    lacks, D grows by that factor and the stored X_k are rescaled.  A
+    recurrence with integral values builds no Fraction at all.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if len(s) <= order:
         raise ValueError(f"recurrence to order {order} needs s_1 .. s_{order}")
-    s = [_plain(c) for c in s[1 : order + 1]]
-    x: list[Scalar] = [1]
+    s = s[1 : order + 1]
+    ds = math.lcm(*(c.denominator for c in s))
+    s_int = [c.numerator * (ds // c.denominator) for c in s]
+    out: list[Scalar] = [1]
+    x, D = [1], 1
     for n in range(1, order + 1):
-        # reversed(x) runs x_{n-1} .. x_0 against s_1 .. s_n; map stops at n terms
-        x.append(_plain(weight(n) * sum(map(operator.mul, reversed(x), s))))
-    return x
-
-
-def _plain(value: Scalar) -> Scalar:
-    return value.numerator if value.denominator == 1 else value
+        w = weight(n)
+        # reversed(x) runs X_{n-1} .. X_0 against S_1 .. S_n; map stops at n terms
+        num = sum(map(operator.mul, reversed(x), s_int)) * w.numerator
+        den = ds * D * w.denominator
+        value, rem = divmod(num, den)
+        if rem:
+            value = Fraction(num, den)
+            q = value.denominator
+            if D % q:
+                f = q // math.gcd(q, D)
+                D *= f
+                x = [xk * f for xk in x]
+            x.append(value.numerator * (D // q))
+        else:
+            x.append(value * D)
+        out.append(value)
+    return out
 
 
 def substitute_neg(a: QSeries) -> QSeries:

@@ -10,6 +10,7 @@ from foursquares.forms import (
     named_series,
     partition_series,
     phi_by_recursion,
+    phi_by_reduction_of_order,
     psi_by_exp,
     psi_by_partition_square,
     psi_by_recursion,
@@ -113,6 +114,21 @@ class TestPsiPhi:
             Fraction(7419742, 267995),
         ]
         assert list(phi.coeffs) == want
+
+    def test_reduction_of_order_matches_recursion(self):
+        assert phi_by_reduction_of_order(400) == phi_by_recursion(400)
+        assert phi_by_reduction_of_order(0) == QSeries([1])
+
+    def test_psi_triple_reports_phi_mismatch(self, monkeypatch):
+        real = forms.phi_by_reduction_of_order
+
+        def bumped(order):
+            return real(order) + QSeries.monomial(1, 7, order)
+
+        monkeypatch.setattr(forms, "phi_by_reduction_of_order", bumped)
+        report = verify_psi_triple(20)
+        assert not report.passed
+        assert report.witness.startswith("reduction-of-order coefficient 7:")
 
     def test_a_bounded_by_b(self):
         order = 150

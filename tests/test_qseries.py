@@ -17,6 +17,7 @@ from foursquares.qseries import (
     parse_golden,
     parse_series,
     qderiv,
+    recurrence,
     substitute_neg,
 )
 
@@ -36,9 +37,11 @@ def theta_like(order):
 
 
 # Small random series for property tests.
-rationals = st.fractions(
-    min_value=-10, max_value=10, max_denominator=12
-)
+# (the same values as st.fractions(-10, 10, max_denominator=12), drawn
+# without its flatmap, which dominated the ring-axiom tests' time)
+rationals = st.builds(
+    Fraction, st.integers(min_value=-120, max_value=120), st.integers(min_value=1, max_value=12)
+).filter(lambda x: abs(x) <= 10)
 small_series = st.lists(rationals, min_size=1, max_size=8).map(QSeries)
 
 
@@ -162,6 +165,78 @@ class TestMulKernel:
         t4 = theta4(4000)
         assert t4[0] == 1
         assert all(t4[n] == jacobi_count(n) for n in range(1, 4001))
+
+
+def fraction_recurrence(s, weight, order):
+    """The plain Fraction loop for x_0 = 1, x_n = weight(n) sum s_k x_{n-k}.
+
+    Reference for the int-over-common-denominator kernel `recurrence`.
+    """
+    x = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            acc += s[k] * x[n - k]
+        x.append(weight(n) * acc)
+    return x
+
+
+def _weight(kind, p, q, late):
+    """A weight family; "late" brings its denominators only from n = late on."""
+    return {
+        "int": lambda n: p,
+        "const": lambda n: Fraction(p, q),
+        "harmonic": lambda n: Fraction(p, n * q),
+        "late": lambda n: Fraction(p, n * q) if n >= late else p,
+    }[kind]
+
+
+# Coefficients for the recurrence: signed, zero, integral, and rationals
+# with unlike denominators.
+recurrence_coeffs = st.one_of(
+    rationals,
+    st.just(0),
+    st.integers(min_value=-50, max_value=50),
+    st.builds(
+        Fraction, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=40)
+    ),
+)
+
+
+@st.composite
+def recurrence_cases(draw):
+    order = draw(st.integers(min_value=0, max_value=40))
+    s = draw(st.lists(recurrence_coeffs, min_size=order + 1, max_size=order + 1))
+    kind = draw(st.sampled_from(["int", "const", "harmonic", "late"]))
+    p = draw(st.integers(min_value=-6, max_value=6))
+    q = draw(st.integers(min_value=1, max_value=7))
+    late = draw(st.integers(min_value=1, max_value=41))
+    return order, s, (kind, p, q, late)
+
+
+class TestRecurrenceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(recurrence_cases())
+    @example((6, [0, 1, 3, 4, 7, 6, 12], ("harmonic", 2, 1, 1)))  # psi: all int
+    @example((5, [0, 1, 0, 0, 0, 0], ("harmonic", 2, 1, 1)))  # 2^n/n!
+    @example((8, [0, Fraction(1, 3), -2, 0, Fraction(5, 7), 1, 0, -1, Fraction(1, 2)],
+              ("late", 3, 5, 6)))
+    @example((6, [0, 2, 1, 0, 0, 0, 0], ("const", 1, 2, 1)))  # x_3 = 2 after x_2 = 3/2
+    @example((0, [7], ("const", 1, 2, 1)))
+    @example((4, [0, 0, 0, 0, 0], ("harmonic", 1, 3, 1)))
+    def test_matches_fraction_loop(self, case):
+        order, s, params = case
+        weight = _weight(*params)
+        got = recurrence(s, weight, order)
+        want = fraction_recurrence(s, weight, order)
+        assert got == want
+        assert [type(x) for x in got] == [int if w.denominator == 1 else Fraction for w in want]
+
+    def test_rejects_short_input(self):
+        with pytest.raises(ValueError):
+            recurrence([0, 1], lambda n: 1, 2)
+        with pytest.raises(ValueError):
+            recurrence([0, 1], lambda n: 1, -1)
 
 
 class TestPow:
