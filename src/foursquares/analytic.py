@@ -59,6 +59,12 @@ FD_AGREEMENT_TOL = 1e-6
 CUSP_MODULUS_BOUND = 1e3
 CUSP_CONTROL_THRESHOLD = 1e-3
 
+# Ceilings on the two cutoffs that set a check's cost, measured on a 2-core
+# VM: G4_lattice takes time ~R^2 (4.6 s at R = 10^4), and _row_sum_left
+# holds about 53 bytes per d (243 MB peak RSS at D = 4 * 10^6).
+MAX_LATTICE_RADIUS = 10_000
+MAX_ROW_CUTOFF = 4_000_000
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation knobs: q-series truncation, lattice cutoff R, row-sum
@@ -72,6 +78,10 @@ class EvalConfig:
     def __post_init__(self):
         if self.series_order <= 0 or self.lattice_radius <= 0 or self.row_cutoff <= 0:
             raise ValueError("series_order, lattice_radius, row_cutoff must be positive")
+        if self.lattice_radius > MAX_LATTICE_RADIUS:
+            raise ValueError(f"lattice_radius must be <= {MAX_LATTICE_RADIUS}")
+        if self.row_cutoff > MAX_ROW_CUTOFF:
+            raise ValueError(f"row_cutoff must be <= {MAX_ROW_CUTOFF}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite (got {self.tol})")
 
@@ -239,26 +249,20 @@ def h_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """The weight-4 lattice sum over 0 < max(|c|,|d|) <= R, shell by shell.
 
-    Each square shell max(|c|,|d|) = r contributes its 8r points in a fixed
-    edge order; shells are accumulated with increasing r.
+    The summand (c tau + d)^-4 is even in (c, d), and (-z)^-4 == z^-4
+    exactly in floating point, so each square shell max(|c|,|d|) = r
+    contributes the 4r points of its top edge (c = r, |d| <= r) and right
+    edge (d = r, |c| < r); shells are accumulated with increasing r and the
+    total is doubled.
     """
     tau = _require_uhp(tau)
-    R = cfg.lattice_radius
     total = 0j
-    for r in range(1, R + 1):
-        full = np.arange(-r, r + 1)
-        inner = np.arange(-(r - 1), r)
-        z = np.concatenate(
-            (
-                r * tau + full,
-                -r * tau + full,
-                inner * tau + r,
-                inner * tau - r,
-            )
-        )
+    for r in range(1, cfg.lattice_radius + 1):
+        d = np.arange(-r, r + 1)
+        z = np.concatenate((r * tau + d, d[1:-1] * tau + r))
         z2 = z * z
         total += np.sum(1.0 / (z2 * z2))
-    return complex(total)
+    return complex(2.0 * total)
 
 
 def G4_series(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

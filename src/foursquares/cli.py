@@ -16,8 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import analytic, forms, modgroup
-from .analytic import DEFAULT_CONFIG, EvalConfig
+from . import forms, modgroup
 from .modgroup import MembershipError, Mat2Z
 from .numtheory import jacobi_count, r4_bruteforce
 from .qseries import format_golden, parse_golden
@@ -32,7 +31,8 @@ POISSON_POINTS = (0.1, 0.5, 1.0, 2.0)
 # verify-analytic name -> (check function in `analytic`, default tau, default
 # matrix).  A None default means the check takes no such argument and rejects
 # the flag.  Checks are looked up by name at call time, so a rebound module
-# attribute (a tracer, a test double) sees every call.
+# attribute (a tracer, a test double) sees every call.  `analytic` (and with
+# it numpy) is imported only when a check runs.
 _ANALYTIC = {
     "poisson": ("check_poisson", None, None),
     "theta-transform": ("check_theta_transform", DEFAULT_TAU, None),
@@ -46,6 +46,10 @@ _ANALYTIC = {
     "cusp": ("check_cusp_boundedness", None, None),
 }
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
+# verify-analytic flags that set the EvalConfig field of the same name, with
+# their types; an omitted flag leaves that field's EvalConfig default in place
+_CONFIG_FLAGS = {"series_order": int, "lattice_radius": int, "row_cutoff": int,
+                 "tol": float}
 
 # argparse takes only plain negative numbers as positionals or option values;
 # without this, a point such as -6.7,3.4 would read as an unknown option.
@@ -102,10 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=ANALYTIC_CHECKS)
     p.add_argument("--tau", type=_parse_tau, default=None)
     p.add_argument("--matrix", type=_parse_matrix_arg, default=None)
-    for field in ("series_order", "lattice_radius", "row_cutoff"):
-        p.add_argument("--" + field.replace("_", "-"), type=int,
-                       default=getattr(DEFAULT_CONFIG, field))
-    p.add_argument("--tol", type=float, default=None)
+    for field, kind in _CONFIG_FLAGS.items():
+        p.add_argument("--" + field.replace("_", "-"), type=kind, default=None)
     p._negative_number_matcher = _NEGATIVE_TAU
     add_format(p)
 
@@ -193,7 +195,10 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else 1
 
 
-def _analytic_reports(name: str, tau: complex | None, matrix, cfg: EvalConfig):
+def _analytic_reports(name: str, tau: complex | None, matrix, settings: dict):
+    from . import analytic
+
+    cfg = analytic.EvalConfig(**settings)
     check_name, default_tau, default_matrix = _ANALYTIC[name]
     for flag, value, default in (("--tau", tau, default_tau),
                                  ("--matrix", matrix, default_matrix)):
@@ -211,13 +216,8 @@ def _analytic_reports(name: str, tau: complex | None, matrix, cfg: EvalConfig):
 
 
 def _cmd_verify_analytic(args, out) -> int:
-    cfg = EvalConfig(
-        series_order=args.series_order,
-        lattice_radius=args.lattice_radius,
-        row_cutoff=args.row_cutoff,
-        tol=args.tol,
-    )
-    reports = _analytic_reports(args.name, args.tau, args.matrix, cfg)
+    settings = {f: v for f, v in vars(args).items() if f in _CONFIG_FLAGS and v is not None}
+    reports = _analytic_reports(args.name, args.tau, args.matrix, settings)
     _emit(
         _report_payload(reports),
         [r.describe() for r in reports],

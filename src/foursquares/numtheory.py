@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from math import isqrt
 
-import numpy as np
-
 # r4_bruteforce allocates O(n) lookup tables; cap the argument so a typo
 # cannot ask for gigabytes.
 R4_MAX_N = 10**6
+# Elements (int32) per block of r4_bruteforce's residuals: memory is the O(n)
+# tables plus one 1 MB block, and every n <= 1000 is a single block.
+_R4_BLOCK = 1 << 18
 
 
 def divisors(n: int) -> list[int]:
@@ -99,7 +100,8 @@ def r4_bruteforce(n: int) -> int:
     Direct enumeration: a, b, c run over the full signed ranges |a|,|b|,|c|
     <= sqrt(n) and the residual n - a^2 - b^2 - c^2 is tested for being a
     perfect square d^2 (counting d and -d).  The loops are batched through
-    numpy for speed but the enumeration is exactly that triple loop.
+    numpy for speed, in blocks of (a, b) rows so that memory stays O(n), but
+    the enumeration is exactly that triple loop.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -107,18 +109,24 @@ def r4_bruteforce(n: int) -> int:
         raise ValueError(f"n must be <= {R4_MAX_N}")
     if n == 0:
         return 1
+    import numpy as np
+
     root = isqrt(n)
-    signed_sq = np.arange(-root, root + 1, dtype=np.int64) ** 2
+    signed_sq = np.arange(-root, root + 1, dtype=np.int32) ** 2
     # residual lookup: number of d with d*d == m (index -1 is the m < 0 sink)
-    dcount = np.zeros(n + 2, dtype=np.int64)
+    dcount = np.zeros(n + 2, dtype=np.uint8)
     dcount[0] = 1
     roots = np.arange(1, root + 1, dtype=np.int64)
     dcount[roots * roots] = 2
     ab = (signed_sq[:, None] + signed_sq[None, :]).ravel()
-    ab = ab[ab <= n]
-    rem = n - ab[:, None] - signed_sq[None, :]
-    np.maximum(rem, -1, out=rem)
-    return int(dcount[rem.ravel()].sum())
+    n_ab = n - ab[ab <= n]
+    rows = max(1, _R4_BLOCK // len(signed_sq))
+    total = 0
+    for start in range(0, len(n_ab), rows):
+        rem = n_ab[start:start + rows, None] - signed_sq[None, :]
+        np.maximum(rem, -1, out=rem)
+        total += int(dcount[rem].sum(dtype=np.int64))
+    return total
 
 
 def jacobi_count(n: int) -> int:

@@ -4,10 +4,13 @@ stated preconditions actually reject what they claim to."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from foursquares import forms
 from foursquares.analytic import (
+    MAX_LATTICE_RADIUS,
+    MAX_ROW_CUTOFF,
     EvalConfig,
     G4_lattice,
     G4_series,
@@ -37,6 +40,28 @@ TU = MAT_T * MAT_U
 
 def q_of(tau):
     return cmath.exp(2j * math.pi * tau)
+
+
+def full_shell_lattice(tau, R):
+    """The weight-4 lattice sum with every one of the 8r points of each shell.
+
+    Reference for the half-lattice `G4_lattice`.
+    """
+    total = 0j
+    for r in range(1, R + 1):
+        full = np.arange(-r, r + 1)
+        inner = np.arange(-(r - 1), r)
+        z = np.concatenate(
+            (
+                r * tau + full,
+                -r * tau + full,
+                inner * tau + r,
+                inner * tau - r,
+            )
+        )
+        z2 = z * z
+        total += np.sum(1.0 / (z2 * z2))
+    return complex(total)
 
 
 class TestThetaEval:
@@ -154,6 +179,13 @@ class TestG4:
     def test_real_at_purely_imaginary_tau(self):
         value = G4_lattice(2j, EvalConfig(lattice_radius=400))
         assert abs(value.imag) < 1e-10 * abs(value)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 1j, 0.1 + 0.5j, -0.45 + 0.06j, 0.2 + 3j])
+    @pytest.mark.parametrize("R", [1, 2, 3, 50, 400])
+    def test_half_lattice_matches_full_shells(self, tau, R):
+        got = G4_lattice(tau, EvalConfig(lattice_radius=R))
+        want = full_shell_lattice(tau, R)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("m", [MAT_S, MAT_T])
     def test_weight4_law_series_path(self, m):
@@ -308,6 +340,14 @@ class TestConfig:
             EvalConfig(series_order=0)
         with pytest.raises(ValueError):
             EvalConfig(tol=-1.0)
+
+    def test_cutoff_ceilings(self):
+        # validated before anything of that size is allocated
+        EvalConfig(lattice_radius=MAX_LATTICE_RADIUS, row_cutoff=MAX_ROW_CUTOFF)
+        with pytest.raises(ValueError, match="lattice_radius"):
+            EvalConfig(lattice_radius=MAX_LATTICE_RADIUS + 1)
+        with pytest.raises(ValueError, match="row_cutoff"):
+            EvalConfig(row_cutoff=10**12)
 
     def test_tolerance_override(self):
         cfg = EvalConfig(tol=0.5)

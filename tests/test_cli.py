@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foursquares
 from foursquares.cli import run
 
 GOLDEN_DIR = "golden"
@@ -125,6 +130,15 @@ class TestVerifyAnalytic:
             ["verify-analytic", "row-sum4", "--tau", "0,1", "--row-cutoff", "10000"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["g4", "--lattice-radius", "10001"],
+        ["row-sum2", "--row-cutoff", "100000000"],
+    ])
+    def test_cutoff_above_ceiling_is_usage_error(self, argv):
+        code, out, err = invoke(["verify-analytic", *argv])
+        assert code == 2 and out == ""
+        assert "must be <=" in err
 
     def test_precondition_violation_is_usage_error(self):
         code, _, err = invoke(
@@ -272,3 +286,32 @@ class TestExitCodeContract:
             assert out.startswith("PASS")
         else:
             assert code == 2
+
+
+# Runs in a fresh interpreter, so that no other test has imported numpy.
+_IMPORT_PROBE = """
+import io, sys
+from foursquares.cli import run
+for argv in {argv!r}:
+    assert run(argv, out=io.StringIO()) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argvs, loads_numpy", [
+    ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"],
+      ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"], ["reduce-tau", "5.3,2"]],
+     False),
+    ([["verify-analytic", "theta-transform"]], True),
+    ([["r4", "10"]], True),
+])
+def test_numpy_imported_only_by_subcommands_that_use_it(argvs, loads_numpy):
+    src = str(Path(foursquares.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(argv=argvs)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads_numpy)

@@ -1,5 +1,6 @@
 """Number-theory oracles, checked against even dumber enumerations."""
 
+import tracemalloc
 from math import gcd, isqrt
 
 import pytest
@@ -130,6 +131,17 @@ class TestR4:
             r4_bruteforce(-1)
         with pytest.raises(ValueError):
             r4_bruteforce(10**6 + 1)
+
+    def test_memory_is_linear(self):
+        # the unblocked residual array alone would be about 50 MB at n = 10^4
+        tracemalloc.start()
+        try:
+            count = r4_bruteforce(10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == jacobi_count(10**4)
+        assert peak < 16 * 2**20
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*(st.integers(-50, 50),) * 4))
