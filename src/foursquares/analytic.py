@@ -59,11 +59,13 @@ FD_AGREEMENT_TOL = 1e-6
 CUSP_MODULUS_BOUND = 1e3
 CUSP_CONTROL_THRESHOLD = 1e-3
 
-# Ceilings on the two cutoffs that set a check's cost, measured on a 2-core
-# VM: G4_lattice takes time ~R^2 (4.6 s at R = 10^4), and _row_sum_left
-# holds about 53 bytes per d (243 MB peak RSS at D = 4 * 10^6).
+# Ceilings on the cutoffs that set a check's cost, measured on a 2-core VM:
+# G4_lattice takes time ~R^2 (4.6 s at R = 10^4), _row_sum_left holds about
+# 53 bytes per d (243 MB peak RSS at D = 4 * 10^6), and the phi table for
+# series_order, a power of two, takes 3-4 s at 2048 and over 20 s at 4096.
 MAX_LATTICE_RADIUS = 10_000
 MAX_ROW_CUTOFF = 4_000_000
+MAX_SERIES_ORDER = 2048
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -78,10 +80,11 @@ class EvalConfig:
     def __post_init__(self):
         if self.series_order <= 0 or self.lattice_radius <= 0 or self.row_cutoff <= 0:
             raise ValueError("series_order, lattice_radius, row_cutoff must be positive")
-        if self.lattice_radius > MAX_LATTICE_RADIUS:
-            raise ValueError(f"lattice_radius must be <= {MAX_LATTICE_RADIUS}")
-        if self.row_cutoff > MAX_ROW_CUTOFF:
-            raise ValueError(f"row_cutoff must be <= {MAX_ROW_CUTOFF}")
+        for field, ceiling in (("series_order", MAX_SERIES_ORDER),
+                               ("lattice_radius", MAX_LATTICE_RADIUS),
+                               ("row_cutoff", MAX_ROW_CUTOFF)):
+            if getattr(self, field) > ceiling:
+                raise ValueError(f"{field} must be <= {ceiling}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite (got {self.tol})")
 

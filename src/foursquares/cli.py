@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -80,7 +81,9 @@ def _parse_matrix_arg(text: str) -> Mat2Z:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="foursquares",
         description="Exact and numerical checks for the four-squares apparatus",
@@ -149,24 +152,21 @@ def _report_payload(reports: list[CheckReport]) -> dict:
 
 def _cmd_expand(args, out) -> int:
     series = forms.named_series(args.name, args.order)
-    text = format_golden(series)
     if args.golden_dir is None:
+        # each coefficient is formatted once: the JSON list reuses the lines
+        lines = format_golden(series).splitlines()
         payload = {
             "command": "expand",
             "name": args.name,
             "order": args.order,
-            "coefficients": [str(c) for c in series.coeffs],
+            "coefficients": [line.partition(": ")[2] for line in lines],
         }
-        _emit(payload, text.splitlines(), args.format, out)
+        _emit(payload, lines, args.format, out)
         return 0
     path = args.golden_dir / f"{args.name}.txt"
     golden = parse_golden(path.read_text())
     upto = min(golden.order, series.order)
-    mismatch = None
-    for n in range(upto + 1):
-        if golden[n] != series[n]:
-            mismatch = (n, str(series[n]), str(golden[n]))
-            break
+    mismatch = forms.first_mismatch(series, golden, upto)
     payload = {
         "command": "expand",
         "name": args.name,
@@ -176,13 +176,9 @@ def _cmd_expand(args, out) -> int:
         "pass": mismatch is None,
     }
     if mismatch:
-        payload["witness"] = {
-            "n": mismatch[0], "got": mismatch[1], "expected": mismatch[2],
-        }
-        lines = [
-            f"FAIL {args.name} vs {path}: coefficient {mismatch[0]} "
-            f"got {mismatch[1]}, expected {mismatch[2]}"
-        ]
+        n, got, want = mismatch
+        payload["witness"] = {"n": n, "got": str(got), "expected": str(want)}
+        lines = [f"FAIL {args.name} vs {path}: coefficient {n} got {got}, expected {want}"]
     else:
         lines = [f"PASS {args.name} matches {path} through order {upto}"]
     _emit(payload, lines, args.format, out)

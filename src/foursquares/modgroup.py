@@ -245,10 +245,6 @@ def parse_word(text: str) -> GenWord:
     return GenWord(letters)
 
 
-def word_eval(word: GenWord) -> Mat2Z:
-    return word.evaluate()
-
-
 def _nearest(p: int, q: int) -> int:
     """Nearest integer to p/q (any nonzero q); ties round down."""
     if q < 0:
@@ -267,7 +263,7 @@ def decompose(m: Mat2Z) -> GenWord:
     divisible by 4, alternating nearest-integer reductions strictly shrink
     |c| until c = 0, at which point the congruence conditions force the
     remaining matrix to be a pure power of T.  The returned word w satisfies
-    word_eval(w) == m exactly.
+    w.evaluate() == m exactly.
     """
     if not in_gamma1_4(m):
         raise MembershipError(f"{m.format()} is not congruent to [[1,*],[0,1]] mod 4")
@@ -322,7 +318,7 @@ _RIGHT_DISC_STEP = GenWord([("U", 1), ("T", -1)])
 
 
 def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
-    """Move tau into D; returns (tau', w) with tau' = mobius(word_eval(w), tau).
+    """Move tau into D; returns (tau', w) with tau' = mobius(w.evaluate(), tau).
 
     Loop: translate the real part into [0, 1) by a power of T; if the point
     is strictly inside the left removed disc apply U^-1, if inside the right

@@ -1,10 +1,11 @@
 """Truncated formal power series in q with exact rational coefficients.
 
 A :class:`QSeries` of order N stores the coefficients of q^0 .. q^N and
-represents a series known modulo q^(N+1).  Coefficients are
-:class:`fractions.Fraction` values, so every operation here is exact; no
-coefficient is ever stored approximately.  Values are immutable and all
-operations are pure functions, safe to share across threads.
+represents a series known modulo q^(N+1), as int numerators over one
+positive common denominator in lowest terms (the layout of FLINT's
+fmpq_poly).  Every operation is exact and runs on ints; a coefficient reads
+back as an int when that denominator is 1, else as a Fraction.  Values are
+immutable and all operations are pure functions, safe to share across threads.
 
 Arithmetic on two series of orders N1, N2 truncates to min(N1, N2).  The
 one refinement: multiplying by a pure power c*q^k (a series with a single
@@ -20,48 +21,59 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-# Exact rational coefficient type: arbitrary precision, always in lowest
-# terms with positive denominator (guaranteed by the Fraction class).
-Rational = Fraction
-
 Scalar = int | Fraction
-
-_ZERO = Fraction(0)
-
-
-def _exact(value) -> Fraction:
-    # floats are refused: every stored coefficient must be exact by intent,
-    # not by accident of binary representation
-    if isinstance(value, float):
-        raise TypeError("QSeries coefficients must be exact (int, Fraction, or str)")
-    return Fraction(value)
 
 
 class QSeries:
-    """A dense truncated power series sum_{n=0}^{order} c_n q^n."""
+    """A dense truncated power series sum_{n=0}^{order} c_n q^n, held as
+    c_n = _num[n] / _den with _den > 0 and gcd(_den, *_num) == 1."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den", "_view")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [_exact(c) for c in coeffs]
+        cs = list(coeffs)
+        exact_ints = all(type(c) is int for c in cs)
+        # floats are refused: exact by intent, not by accident of binary representation
+        if not exact_ints and any(isinstance(c, float) for c in cs):
+            raise TypeError("QSeries coefficients must be exact (int, Fraction, or str)")
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
-            if len(cs) > order + 1:
-                cs = cs[: order + 1]
-            else:
-                cs.extend([_ZERO] * (order + 1 - len(cs)))
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = tuple(cs)
+        self._den, self._view = 1, None
+        if exact_ints:
+            self._num = tuple(cs)
+        else:
+            # over the lcm of lowest-terms denominators, (num, den) is in lowest terms
+            fs = [Fraction(c) for c in cs]
+            self._den = math.lcm(*(f.denominator for f in fs))
+            self._num = tuple(f.numerator * (self._den // f.denominator) for f in fs)
+
+    @classmethod
+    def _of(cls, num: Sequence[int], den: int = 1, view: tuple | None = None) -> "QSeries":
+        """num[n]/den in lowest terms; a given `view` holds its values as Fractions."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [c // g for c in num], den // g
+        series = cls.__new__(cls)
+        series._num, series._den, series._view = tuple(num), den, view
+        return series
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """Ints when the denominator is 1, else Fractions (built once, kept)."""
+        if self._den == 1:
+            return self._num
+        if self._view is None:
+            self._view = tuple(Fraction(c, self._den) for c in self._num)
+        return self._view
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -76,35 +88,31 @@ class QSeries:
         """The series coeff*q^degree, by default of order exactly `degree`."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        cs = [_ZERO] * degree + [_exact(coeff)]
-        return cls(cs, order=order)
+        return cls([0] * degree + [coeff], order=order)
 
-    def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n]
+    def __getitem__(self, n: int) -> Scalar:
+        return self._num[n] if self._den == 1 else self.coeffs[n]
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def truncated(self, order: int) -> "QSeries":
         """This series rewritten to the given (possibly larger) order."""
-        return QSeries(self._coeffs, order=order)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return self if order == self.order else QSeries(self.coeffs, order=order)
 
     def _monomial_degree(self) -> int | None:
         """Degree k if the series is exactly c*q^k with c != 0, else None."""
         deg = None
-        for n, c in enumerate(self._coeffs):
-            if c != 0:
+        for n, c in enumerate(self._num):
+            if c:
                 if deg is not None:
                     return None
                 deg = n
@@ -114,13 +122,14 @@ class QSeries:
 
     def __add__(self, other: "QSeries | Scalar") -> "QSeries":
         other = _coerce(other, self.order)
-        n = min(self.order, other.order)
-        return QSeries([self._coeffs[i] + other._coeffs[i] for i in range(n + 1)])
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return QSeries._of([x * fa + y * fb for x, y in zip(self._num, other._num)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self._coeffs])
+        return QSeries._of([-c for c in self._num], self._den)
 
     def __sub__(self, other: "QSeries | Scalar") -> "QSeries":
         return self + (-_coerce(other, self.order))
@@ -130,7 +139,8 @@ class QSeries:
 
     def __mul__(self, other: "QSeries | Scalar") -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self._coeffs])
+            return QSeries._of([c * other.numerator for c in self._num],
+                               self._den * other.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
         ka = self._monomial_degree()
@@ -143,7 +153,7 @@ class QSeries:
             out_order = self.order + kb
         else:
             out_order = min(self.order, other.order)
-        return QSeries(_convolve(self._coeffs, other._coeffs, out_order))
+        return QSeries._of(_convolve(self._num, other._num, out_order), self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> "QSeries":
         return self.__mul__(other)
@@ -151,15 +161,14 @@ class QSeries:
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = QSeries.one(self.order)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return QSeries.one(self.order) if result is None else result
 
     # ------------------------------------------------------------- formatting
 
@@ -178,24 +187,20 @@ def _coerce(x: "QSeries | Scalar", order: int) -> QSeries:
     raise TypeError(f"cannot combine QSeries with {type(x).__name__}")
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Exact coefficients c_0 .. c_n of (sum a_i q^i) * (sum b_j q^j).
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients c_0 .. c_n of (sum a_i q^i) * (sum b_j q^j), for ints.
 
-    Kronecker substitution: each factor, scaled to integers over the common
-    denominator of its coefficients and split into its positive and negative
+    Kronecker substitution: each factor, split into its positive and negative
     parts, is packed into one int with a fixed-width slot per coefficient, so
     one int product holds c_k in slot k.  A slot holds the largest sum any
-    c_k can reach, so none carries into the next.  Packing and unpacking go
-    through bytes, which is linear in the size; a shift per slot is quadratic.
+    c_k can reach, so none carries into the next; a factor without negative
+    coefficients has no negative part to pack, and a square packs once.
+    Packing and unpacking go through bytes: linear, where a shift per slot is quadratic.
     """
     a, b = a[: n + 1], b[: n + 1]
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    ia = [c.numerator * (da // c.denominator) for c in a]
-    ib = [c.numerator * (db // c.denominator) for c in b]
-    if not any(ia) or not any(ib):
-        return [_ZERO] * (n + 1)
-    bound = max(map(abs, ia)) * max(map(abs, ib)) * min(len(ia), len(ib))
+    if not any(a) or not any(b):
+        return [0] * (n + 1)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1
     size = (n + 1) * width
 
@@ -206,16 +211,22 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Frac
         data = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
         return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
 
-    a_pos, a_neg = pack(max(x, 0) for x in ia), pack(max(-x, 0) for x in ia)
-    b_pos, b_neg = pack(max(x, 0) for x in ib), pack(max(-x, 0) for x in ib)
+    def split(xs: Sequence[int]) -> tuple[int, int]:
+        if min(xs) >= 0:
+            return pack(xs), 0
+        return pack(max(x, 0) for x in xs), pack(max(-x, 0) for x in xs)
+
+    a_pos, a_neg = split(a)
+    b_pos, b_neg = (a_pos, a_neg) if b is a else split(b)
     plus = unpack(a_pos * b_pos + a_neg * b_neg)
-    minus = unpack(a_pos * b_neg + a_neg * b_pos)
-    return [Fraction(p - m, da * db) for p, m in zip(plus, minus)]
+    if not (a_neg or b_neg):
+        return plus
+    return list(map(operator.sub, plus, unpack(a_pos * b_neg + a_neg * b_pos)))
 
 
 def qderiv(a: QSeries) -> QSeries:
     """The operator q*d/dq: coefficient n is mapped to n*c_n.  Order preserved."""
-    return QSeries([n * c for n, c in enumerate(a.coeffs)])
+    return QSeries._of(list(map(operator.mul, range(len(a)), a._num)), a._den)
 
 
 def log1(a: QSeries) -> QSeries:
@@ -226,9 +237,9 @@ def log1(a: QSeries) -> QSeries:
     """
     if a[0] != 1:
         raise ValueError("log1 requires constant term exactly 1")
-    inverse = QSeries(recurrence([-c for c in a.coeffs], lambda n: 1, a.order))
+    inverse = recurrence([-c for c in a.coeffs], lambda n: 1, a.order)
     v = qderiv(a) * inverse
-    return QSeries([0] + [v[m] / m for m in range(1, a.order + 1)])
+    return QSeries([0] + [Fraction(v[m], m) for m in range(1, a.order + 1)])
 
 
 def exp0(a: QSeries) -> QSeries:
@@ -238,23 +249,23 @@ def exp0(a: QSeries) -> QSeries:
     """
     if a[0] != 0:
         raise ValueError("exp0 requires constant term exactly 0")
-    return QSeries(recurrence(qderiv(a).coeffs, lambda n: Fraction(1, n), a.order))
+    return recurrence(qderiv(a).coeffs, lambda n: Fraction(1, n), a.order)
 
 
 def recurrence(
     s: Sequence[Scalar], weight: Callable[[int], Scalar], order: int
-) -> list[Scalar]:
-    """[x_0, ..., x_order] for x_0 = 1, x_n = weight(n) * sum_{k=1}^{n} s_k x_{n-k}.
-
-    Exact: s needs the entries s_1 .. s_order (s_0 is never read).  Every
-    returned value whose denominator is 1 is a plain int.
+) -> QSeries:
+    """The exact series sum x_n q^n of order `order`, for x_0 = 1 and
+    x_n = weight(n) * sum_{k=1}^{n} s_k x_{n-k}; s_0 is never read.
 
     The work runs in ints: s_k = S_k/ds over the lcm ds of its denominators,
     and x_k = X_k/D over one running common denominator D, so each sum is
-    one dot product of ints.  A step builds a Fraction only when its value
-    is not an integer; when that value's denominator brings a factor D
-    lacks, D grows by that factor and the stored X_k are rescaled.  A
-    recurrence with integral values builds no Fraction at all.
+    one dot product of ints.  Step n gives X_n = num/t, with t = ds times
+    the weight's denominator; when t does not divide num, D and the stored
+    X_k grow by t/gcd(num, t), the least factor that makes X_n an int.  So D
+    is the lcm of the values' denominators and (X, D) is in lowest terms.
+    Once D > 1, each step reduces its value to a Fraction against the D of
+    that step, for the Fraction view: cheaper than against the final D.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -263,31 +274,27 @@ def recurrence(
     s = s[1 : order + 1]
     ds = math.lcm(*(c.denominator for c in s))
     s_int = [c.numerator * (ds // c.denominator) for c in s]
-    out: list[Scalar] = [1]
-    x, D = [1], 1
+    x, D, view = [1], 1, []
     for n in range(1, order + 1):
         w = weight(n)
         # reversed(x) runs X_{n-1} .. X_0 against S_1 .. S_n; map stops at n terms
         num = sum(map(operator.mul, reversed(x), s_int)) * w.numerator
-        den = ds * D * w.denominator
-        value, rem = divmod(num, den)
-        if rem:
-            value = Fraction(num, den)
-            q = value.denominator
-            if D % q:
-                f = q // math.gcd(q, D)
-                D *= f
-                x = [xk * f for xk in x]
-            x.append(value.numerator * (D // q))
-        else:
-            x.append(value * D)
-        out.append(value)
-    return out
+        t = ds * w.denominator
+        g = math.gcd(num, t)
+        if g != t:
+            f = t // g
+            view = view or [Fraction(xk) for xk in x]
+            D *= f
+            x = [xk * f for xk in x]
+        x.append(num // g)
+        if view:
+            view.append(Fraction(x[-1], D))
+    return QSeries._of(x, D, tuple(view) or None)
 
 
 def substitute_neg(a: QSeries) -> QSeries:
     """The substitution q -> -q: coefficient n negated when n is odd."""
-    return QSeries([-c if n & 1 else c for n, c in enumerate(a.coeffs)])
+    return QSeries._of([-c if n & 1 else c for n, c in enumerate(a._num)], a._den)
 
 
 # ------------------------------------------------------------------ text forms
@@ -341,7 +348,7 @@ def parse_series(text: str) -> QSeries:
         coeffs[n] = value
         top = max(top, n)
         pos = m.end()
-    return QSeries([coeffs.get(n, _ZERO) for n in range(top + 1)])
+    return QSeries([coeffs.get(n, 0) for n in range(top + 1)])
 
 
 def format_golden(a: QSeries) -> str:

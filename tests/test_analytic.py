@@ -11,6 +11,7 @@ from foursquares import forms
 from foursquares.analytic import (
     MAX_LATTICE_RADIUS,
     MAX_ROW_CUTOFF,
+    MAX_SERIES_ORDER,
     EvalConfig,
     G4_lattice,
     G4_series,
@@ -348,6 +349,9 @@ class TestConfig:
             EvalConfig(lattice_radius=MAX_LATTICE_RADIUS + 1)
         with pytest.raises(ValueError, match="row_cutoff"):
             EvalConfig(row_cutoff=10**12)
+        EvalConfig(series_order=MAX_SERIES_ORDER)
+        with pytest.raises(ValueError, match="series_order"):
+            EvalConfig(series_order=MAX_SERIES_ORDER + 1)
 
     def test_tolerance_override(self):
         cfg = EvalConfig(tol=0.5)

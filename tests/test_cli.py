@@ -51,6 +51,19 @@ class TestExpand:
         assert code == 0
         assert out.startswith("PASS")
 
+    def test_golden_mismatch_names_first_bad_coefficient(self, tmp_path):
+        lines = Path(GOLDEN_DIR, "phi.txt").read_text().splitlines()
+        lines[5] = "5: 7/3"
+        (tmp_path / "phi.txt").write_text("\n".join(lines) + "\n")
+        argv = ["expand", "phi", "--order", "40", "--golden-dir", str(tmp_path)]
+        code, out, _ = invoke(argv)
+        assert code == 1
+        assert out.startswith("FAIL phi vs ")
+        assert "coefficient 5 got 7419742/267995, expected 7/3" in out
+        code, out, _ = invoke([*argv, "--format", "json"])
+        assert code == 1
+        assert json.loads(out)["witness"] == {"n": 5, "got": "7419742/267995", "expected": "7/3"}
+
     def test_missing_golden_is_usage_error(self):
         code, _, err = invoke(
             ["expand", "theta4", "--order", "10", "--golden-dir", "/nonexistent"]
@@ -76,6 +89,11 @@ class TestVerify:
             assert tcode == jcode == 0
             doc = json.loads(jout)
             assert doc["pass"] is tout.startswith("PASS")
+
+    def test_proportionality_constant(self):
+        code, out, _ = invoke(["verify", "proportionality", "--order", "200", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["witness"] == "constant = -1/3"
 
     def test_bad_order_is_usage_error(self):
         code, _, err = invoke(["verify", "jacobi", "--order", "0"])
@@ -139,6 +157,12 @@ class TestVerifyAnalytic:
         code, out, err = invoke(["verify-analytic", *argv])
         assert code == 2 and out == ""
         assert "must be <=" in err
+
+    def test_series_order_above_ceiling_is_usage_error(self):
+        # rejected before any table is built: 5000 would ask for exact phi at 8192
+        code, out, err = invoke(["verify-analytic", "ode-solution", "--series-order", "5000"])
+        assert code == 2 and out == ""
+        assert "series_order must be <= 2048" in err
 
     def test_precondition_violation_is_usage_error(self):
         code, _, err = invoke(
@@ -260,6 +284,15 @@ class TestExitCodeContract:
         code, out, err = invoke(["--help"])
         assert code == 0
         assert out.startswith("usage: foursquares") and err == ""
+
+    def test_shared_parser_writes_to_each_runs_streams(self):
+        # the parser is built once per process; each run still sends
+        # argparse's output to that run's own streams
+        results = [invoke(argv) for argv in (["r4", "x"], ["--help"], ["r4", "5"])]
+        (c1, o1, e1), (c2, o2, e2), (c3, o3, e3) = results
+        assert c1 == 2 and o1 == "" and "invalid int value" in e1
+        assert c2 == 0 and o2.startswith("usage: foursquares") and e2 == ""
+        assert c3 == 0 and o3.startswith("r4(5):") and e3 == ""
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(min_size=1, max_size=12))

@@ -27,7 +27,6 @@ from foursquares.modgroup import (
     parse_word,
     reduce_to_fundamental,
     stereographic,
-    word_eval,
 )
 
 

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foursquares.forms import theta4
+from foursquares import qseries
+from foursquares.forms import theta, theta4
 from foursquares.numtheory import jacobi_count
 from foursquares.qseries import (
     QSeries,
@@ -159,7 +162,8 @@ class TestMulKernel:
     def test_matches_schoolbook(self, a, b):
         got = a * b
         assert got == schoolbook_mul(a, b)
-        assert all(type(c) is Fraction for c in got.coeffs)
+        want_type = int if got._den == 1 else Fraction
+        assert all(type(c) is want_type for c in got.coeffs)
 
     def test_theta4_at_4000_matches_jacobi(self):
         t4 = theta4(4000)
@@ -229,8 +233,9 @@ class TestRecurrenceKernel:
         weight = _weight(*params)
         got = recurrence(s, weight, order)
         want = fraction_recurrence(s, weight, order)
-        assert got == want
-        assert [type(x) for x in got] == [int if w.denominator == 1 else Fraction for w in want]
+        assert list(got.coeffs) == want
+        integral = all(w.denominator == 1 for w in want)
+        assert {type(x) for x in got.coeffs} == {int if integral else Fraction}
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
@@ -245,6 +250,26 @@ class TestPow:
 
     def test_power_zero(self):
         assert theta_like(5) ** 0 == QSeries.one(5)
+
+    def test_power_one(self):
+        assert theta_like(5) ** 1 == theta_like(5)
+        assert QSeries([Fraction(1, 3), 2]) ** 1 == QSeries([Fraction(1, 3), 2])
+
+    def test_no_product_by_one(self, monkeypatch):
+        calls = []
+        kernel = qseries._convolve
+
+        def counting(a, b, n):
+            calls.append(n)
+            return kernel(a, b, n)
+
+        t = theta(50)
+        monkeypatch.setattr(qseries, "_convolve", counting)
+        got = t ** 4
+        assert calls == [50, 50]
+        monkeypatch.undo()
+        t2 = schoolbook_mul(t, t)
+        assert got == schoolbook_mul(t2, t2)
 
     def test_binomial_square(self):
         assert QSeries([1, 1, 0]) ** 2 == series(1, 2, 1)
@@ -403,9 +428,39 @@ class TestExactness:
     def test_no_floats_accepted(self):
         with pytest.raises((TypeError, ValueError)):
             QSeries([0.5])
+        with pytest.raises(TypeError):
+            QSeries.monomial(0.5, 2)
 
     def test_rational_arithmetic_stays_exact(self):
         a = QSeries([Fraction(1, 3)] * 5)
         b = a * a
         assert b[0] == Fraction(1, 9)
         assert b[4] == Fraction(5, 9)
+
+
+class TestRepresentation:
+    """Int numerators over one denominator, in lowest terms; ints or
+    Fractions on access."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_coeffs, min_size=1, max_size=12),
+           st.lists(kernel_coeffs, min_size=1, max_size=12))
+    @example([Fraction(2, 4), 1], [Fraction(1, 2), 1])
+    @example([Fraction(1, 3), 0], [Fraction(1, 3), 1])
+    def test_lowest_terms_and_equality(self, cs, ds):
+        a, b = QSeries(cs), QSeries(ds)
+        assert a._den > 0 and math.gcd(a._den, *a._num) == 1
+        assert a.coeffs == tuple(Fraction(c) for c in cs)
+        assert {type(c) for c in a.coeffs} == {int if a._den == 1 else Fraction}
+        assert a.coeffs is a.coeffs
+        assert (a == b) is (a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+        for same in (QSeries([str(Fraction(c)) for c in cs]),
+                     a * 3 * Fraction(1, 3),
+                     a.truncated(a.order + 2).truncated(a.order),
+                     a + QSeries.zero(a.order)):
+            assert same == a and hash(same) == hash(a)
+            assert same._den == a._den and same._num == a._num
+        with pytest.raises(TypeError):
+            QSeries([*cs, 0.5])
