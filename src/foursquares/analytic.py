@@ -12,6 +12,11 @@ with a group element reject configurations whose image drops below the
 documented floor (im >= 0.05, or 0.1 for the second-derivative checks);
 the cusp sweep works closer to the real axis and relies on the adaptive
 term count.
+
+Truncated q-series are summed by Horner's rule in plain floats (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 5); only the routines
+that build arrays of 10^5 or more elements, :func:`G4_lattice` and the row
+sums, import numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, partial
 
 from . import forms
 from .modgroup import Mat2Z, in_gamma0_4, mobius, MembershipError
@@ -113,17 +116,13 @@ def _round_up_pow2(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sigma_np(limit: int) -> np.ndarray:
-    arr = np.array(sigma_table(limit), dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+def _sigma_np(limit: int) -> tuple[float, ...]:
+    return tuple(map(float, sigma_table(limit)))
 
 
 @lru_cache(maxsize=None)
-def _sigma3_np(limit: int) -> np.ndarray:
-    arr = np.array(sigma3_table(limit), dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+def _sigma3_np(limit: int) -> tuple[float, ...]:
+    return tuple(map(float, sigma3_table(limit)))
 
 
 def _terms_needed(absq: float, log_coeff_bound) -> int:
@@ -155,19 +154,20 @@ def _truncated_sum(tau: complex, table, log_coeff_bound, cfg: EvalConfig) -> com
     """
     q = _q_from_tau(tau)
     n = _round_up_pow2(max(_terms_needed(abs(q), log_coeff_bound), cfg.series_order))
-    return complex(np.dot(table(n), _powers(q, n)))
+    return _horner(table(n), q)
 
 
-def _powers(q: complex, n: int) -> np.ndarray:
-    return np.power(q, np.arange(n + 1))
+def _horner(coeffs, q: complex) -> complex:
+    """sum c_k q^k by Horner's rule, from the highest power down."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return acc
 
 
 def eval_qseries(series: QSeries, q: complex) -> complex:
     """Horner evaluation of an exact series at a complex point."""
-    acc = 0j
-    for c in reversed(series.coeffs):
-        acc = acc * q + float(c)
-    return acc
+    return _horner([float(c) for c in series.coeffs], q)
 
 
 # ---------------------------------------------------------------- evaluators
@@ -218,17 +218,13 @@ def M_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _psi_np(order: int) -> np.ndarray:
-    arr = np.array([float(c) for c in forms.psi_by_recursion(order).coeffs])
-    arr.flags.writeable = False
-    return arr
+def _psi_np(order: int) -> tuple[float, ...]:
+    return tuple(map(float, forms.psi_by_recursion(order).coeffs))
 
 
 @lru_cache(maxsize=None)
-def _phi_np(order: int) -> np.ndarray:
-    arr = np.array([float(c) for c in forms.phi_by_recursion(order).coeffs])
-    arr.flags.writeable = False
-    return arr
+def _phi_np(order: int) -> tuple[float, ...]:
+    return tuple(map(float, forms.phi_by_recursion(order).coeffs))
 
 
 def _weight1_bound(n: int) -> float:
@@ -258,13 +254,15 @@ def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     edge (d = r, |c| < r); shells are accumulated with increasing r and the
     total is doubled.
     """
+    import numpy as np
     tau = _require_uhp(tau)
     total = 0j
     for r in range(1, cfg.lattice_radius + 1):
         d = np.arange(-r, r + 1)
-        z = np.concatenate((r * tau + d, d[1:-1] * tau + r))
-        z2 = z * z
-        total += np.sum(1.0 / (z2 * z2))
+        w = np.reciprocal(np.concatenate((r * tau + d, d[1:-1] * tau + r)))
+        w *= w
+        w *= w
+        total += w.sum()
     return complex(2.0 * total)
 
 
@@ -322,6 +320,7 @@ def check_theta_transform(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Che
 
 
 def _row_sum_left(tau: complex, power: int, cutoff: int) -> complex:
+    import numpy as np
     d = np.arange(1, cutoff + 1)
     pair = (tau + d) ** -power + (tau - d) ** -power
     return complex(tau**-power + np.sum(pair))
@@ -341,25 +340,25 @@ def _geometric_sum(q: complex, weight: int) -> complex:
     return acc
 
 
+def _row_sum_report(identity: str, tau: complex, power: int, coeff: float,
+                    tail_tol: float, cfg: EvalConfig) -> CheckReport:
+    """sum over d of (tau+d)^-power, truncated at |d| <= cfg.row_cutoff,
+    against coeff * sum m^(power-1) q^m; absolute error, tolerance tail_tol."""
+    tau = _require_uhp(tau)
+    left = _row_sum_left(tau, power, cfg.row_cutoff)
+    right = coeff * _geometric_sum(_q_from_tau(tau), power - 1)
+    tol = cfg.tol if cfg.tol is not None else max(tail_tol, 1e-12)
+    err = abs(left - right)
+    return CheckReport(identity=identity, passed=err < tol, tau=tau, error=err, tol=tol)
+
+
 def check_row_sum2(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """sum over d of (tau+d)^-2 against -4 pi^2 sum m q^m.
 
     The left side is truncated at |d| <= D with tail 2/(D - |tau|) + O(D^-2),
     so the tolerance is 8/D (absolute difference).
     """
-    tau = _require_uhp(tau)
-    D = cfg.row_cutoff
-    left = _row_sum_left(tau, 2, D)
-    right = -4.0 * _PI**2 * _geometric_sum(_q_from_tau(tau), 1)
-    tol = cfg.tol if cfg.tol is not None else max(8.0 / D, 1e-12)
-    err = abs(left - right)
-    return CheckReport(
-        identity="row-sum-weight2",
-        passed=err < tol,
-        tau=tau,
-        error=err,
-        tol=tol,
-    )
+    return _row_sum_report("row-sum-weight2", tau, 2, -4.0 * _PI**2, 8.0 / cfg.row_cutoff, cfg)
 
 
 def check_row_sum4(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -367,19 +366,8 @@ def check_row_sum4(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckRepor
 
     Tail of the left side is 2/(3 (D - |tau|)^3) + ..., tolerance 16/D^3.
     """
-    tau = _require_uhp(tau)
-    D = cfg.row_cutoff
-    left = _row_sum_left(tau, 4, D)
-    right = (8.0 * _PI**4 / 3.0) * _geometric_sum(_q_from_tau(tau), 3)
-    tol = cfg.tol if cfg.tol is not None else max(16.0 / D**3, 1e-12)
-    err = abs(left - right)
-    return CheckReport(
-        identity="row-sum-weight4",
-        passed=err < tol,
-        tau=tau,
-        error=err,
-        tol=tol,
-    )
+    return _row_sum_report("row-sum-weight4", tau, 4, 8.0 * _PI**4 / 3.0,
+                           16.0 / cfg.row_cutoff**3, cfg)
 
 
 def check_G4_expansion(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -484,7 +472,7 @@ def check_g_properties(
     tau1 = _require_uhp(tau1)
     tau2 = _require_uhp(tau2)
     defects = []
-    min_mod = min(abs(g_eval(complex(0.0, t), cfg)) for t in np.linspace(0.2, 5.0, 25))
+    min_mod = min(abs(g_eval(complex(0.0, t), cfg)) for t in _linspace(0.2, 5.0, 25))
     h_at_i = abs(h_eval(1j, cfg))
     eig = cmath.exp(1j * _PI / 6.0)
     betas = []
@@ -510,20 +498,23 @@ def check_g_properties(
     )
 
 
+@lru_cache(maxsize=None)
+def _d2_table(kind: str, order: int) -> tuple[float, ...]:
+    """c_n f_n^2: c = psi and f_n = pi (12n - 1) / 6 for g, phi and (12n + 1) for h."""
+    sign, table = (-1, _psi_np) if kind == "g" else (1, _phi_np)
+    return tuple(c * f * f for c, f in
+                 zip(table(order), (_PI * (12 * n + sign) / 6.0 for n in range(order + 1))))
+
+
 def _termwise_second_derivative(kind: str, tau: complex, cfg: EvalConfig) -> complex:
     """d^2/dtau^2 of g or h by differentiating each exponential term.
 
     g(tau) = sum b_n exp(i pi (12n - 1) tau / 6) and h likewise with
     (12n + 1), so the n-th term picks up -(pi (12n -+ 1) / 6)^2.
     """
-    sign, table = (-1, _psi_np) if kind == "g" else (1, _phi_np)
-
-    def differentiated(order: int) -> np.ndarray:
-        freq = _PI * (12 * np.arange(order + 1) + sign) / 6.0
-        return table(order) * freq * freq
-
+    sign = -1 if kind == "g" else 1
     prefactor = cmath.exp(sign * 1j * _PI * tau / 6.0)
-    return -prefactor * _truncated_sum(tau, differentiated, _weight1_bound, cfg)
+    return -prefactor * _truncated_sum(tau, partial(_d2_table, kind), _weight1_bound, cfg)
 
 
 def _fd_second_derivative(func, tau: complex, step: float = FD_STEP) -> complex:
@@ -606,6 +597,12 @@ def _single_term_tilde(tilde: complex, cfg: EvalConfig) -> complex:
     return L_eval(tau, cfg) / (4.0 * tilde * tilde)
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced points as numpy.linspace computes them, bit for bit."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
 def check_cusp_boundedness(cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """Behaviour at the cusp: the combination stays bounded and 1-periodic
     on the rectangle {0 <= x <= 1, 1 <= y <= 20} (plus a dense y = 1 line),
@@ -615,10 +612,10 @@ def check_cusp_boundedness(cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """
     pts = [
         complex(x, y)
-        for y in np.linspace(1.0, 20.0, 11)
-        for x in np.linspace(0.0, 1.0, 11)
+        for y in _linspace(1.0, 20.0, 11)
+        for x in _linspace(0.0, 1.0, 11)
     ]
-    dense = [complex(x, 1.0) for x in np.linspace(0.0, 1.0, 101)]
+    dense = [complex(x, 1.0) for x in _linspace(0.0, 1.0, 101)]
     max_mod = 0.0
     max_defect = 0.0
     for pt in pts + dense:
@@ -631,7 +628,7 @@ def check_cusp_boundedness(cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     )
     ratio = max(
         abs(theta_eval(complex(0.5, t), cfg) ** 4 / theta_eval(complex(0.0, t), cfg) ** 4)
-        for t in np.linspace(0.05, 0.5, 10)
+        for t in _linspace(0.05, 0.5, 10)
     )
     tol = cfg.tolerance("cusp-boundedness")
     passed = (

@@ -349,7 +349,7 @@ def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
         word = step * word
         mat = step.evaluate() * mat
         cur = mobius(mat, tau)
-    raise RuntimeError(f"reduction failed to terminate for tau = {tau}")
+    raise ValueError(f"reduction did not reach D within {REDUCE_MAX_STEPS} steps for tau = {tau}")
 
 
 def stereographic(q: complex) -> tuple[float, float, float]:

@@ -3,11 +3,12 @@ stated preconditions actually reject what they claim to."""
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from foursquares import forms
+from foursquares import analytic, forms
 from foursquares.analytic import (
     MAX_LATTICE_RADIUS,
     MAX_ROW_CUTOFF,
@@ -120,6 +121,39 @@ class TestLMeval:
 def test_non_finite_tau_rejected(evaluate, tau):
     with pytest.raises(ValueError, match="finite"):
         evaluate(tau)
+
+
+def dot_sum(table, q):
+    """sum c_k q^k as one numpy dot product against the powers of q: the
+    oracle for :func:`analytic._horner`."""
+    return complex(np.dot(table, np.power(q, np.arange(len(table)))))
+
+
+class TestHorner:
+    TABLES = ("_sigma_np", "_sigma3_np", "_psi_np", "_phi_np")
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    @pytest.mark.parametrize("name", TABLES)
+    def test_matches_dot_product_within_rounding(self, name, n):
+        # Horner's error is at most a small multiple of n u sum |c_k| |q|^k
+        # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).
+        table = getattr(analytic, name)(n)
+        assert len(table) == n + 1
+        magnitudes = np.abs(np.array(table))
+        rng = random.Random(f"{name}-{n}")
+        u = 2.0**-53
+        for _ in range(20):
+            tau = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.01), math.log(3.0))))
+            q = q_of(tau)
+            scale = float(np.dot(magnitudes, abs(q) ** np.arange(n + 1)))
+            assert abs(analytic._horner(table, q) - dot_sum(table, q)) <= 4 * n * u * scale
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (1.0, 20.0, 11), (0.0, 1.0, 11), (0.0, 1.0, 101), (0.05, 0.5, 10), (0.2, 5.0, 25),
+    ])
+    def test_linspace_matches_numpy_bit_for_bit(self, start, stop, num):
+        # the grids of check_cusp_boundedness and check_g_properties
+        assert analytic._linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
 class TestPoisson:

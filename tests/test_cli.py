@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foursquares
-from foursquares.cli import run
+from foursquares import modgroup
+from foursquares.cli import ANALYTIC_CHECKS, run
 
 GOLDEN_DIR = "golden"
 
@@ -239,6 +240,13 @@ class TestReduceTau:
             code, out, _ = invoke(["reduce-tau", text])
             assert code == 2 and out == ""
 
+    def test_step_limit_is_usage_error(self, monkeypatch):
+        # A point this close to the cusp 1/2 outruns the step limit.
+        monkeypatch.setattr(modgroup, "REDUCE_MAX_STEPS", 50)
+        code, out, err = invoke(["reduce-tau", "0.5939742584042348,8.103651583373406e-13"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestDecompose:
     def test_t_generator(self):
@@ -331,12 +339,19 @@ print("numpy" in sys.modules)
 """
 
 
+# Only r4, the lattice sum and the row sums build arrays large enough to
+# need numpy; every other verify-analytic check sums in plain floats.
+_NUMPY_CHECKS = ("g4", "row-sum2", "row-sum4")
+
+
 @pytest.mark.parametrize("argvs, loads_numpy", [
     ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"],
       ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"], ["reduce-tau", "5.3,2"]],
      False),
-    ([["verify-analytic", "theta-transform"]], True),
     ([["r4", "10"]], True),
+    *[([["verify-analytic", check]], True) for check in _NUMPY_CHECKS],
+    *[([["verify-analytic", check]], False)
+      for check in ANALYTIC_CHECKS if check not in _NUMPY_CHECKS],
 ])
 def test_numpy_imported_only_by_subcommands_that_use_it(argvs, loads_numpy):
     src = str(Path(foursquares.__file__).resolve().parents[1])
