@@ -64,8 +64,8 @@ CUSP_CONTROL_THRESHOLD = 1e-3
 
 # Ceilings on the cutoffs that set a check's cost, measured on a 2-core VM:
 # G4_lattice takes time ~R^2 (4.6 s at R = 10^4), _row_sum_left holds about
-# 53 bytes per d (243 MB peak RSS at D = 4 * 10^6), and the phi table for
-# series_order, a power of two, takes 3-4 s at 2048 and over 20 s at 4096.
+# 53 bytes per d (243 MB peak RSS at D = 4 * 10^6), and the exact phi table
+# for series_order, a power of two, takes 0.15 s at 2048 and 0.75 s at 4096.
 MAX_LATTICE_RADIUS = 10_000
 MAX_ROW_CUTOFF = 4_000_000
 MAX_SERIES_ORDER = 2048
@@ -219,12 +219,12 @@ def M_eval(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 
 @lru_cache(maxsize=None)
 def _psi_np(order: int) -> tuple[float, ...]:
-    return tuple(map(float, forms.psi_by_recursion(order).coeffs))
+    return forms.named_series("psi", order).floats()
 
 
 @lru_cache(maxsize=None)
 def _phi_np(order: int) -> tuple[float, ...]:
-    return tuple(map(float, forms.phi_by_recursion(order).coeffs))
+    return forms.named_series("phi", order).floats()
 
 
 def _weight1_bound(n: int) -> float:

@@ -7,10 +7,11 @@ Constructors for the series in play:
               four-square representations of n
     series_L  1 - 24 * sum sigma(n) q^n
     series_M  1 + 240 * sum sigma3(n) q^n
-    psi       the weight-1 density factor, three independent constructions
-    phi       the companion solution's series, by recursion and, as a check,
-              by reduction of order: P(q)^2 times the term-by-term
-              integral of prod (1-q^n)^4
+    psi       the weight-1 density factor P(q)^2, by Euler's pentagonal
+              recurrence, and three other constructions that check it
+    phi       the companion solution's series by reduction of order: P(q)^2
+              times the term-by-term integral of prod (1-q^n)^4, checked
+              against the sigma3 recursion
     partition_series   P(q) = sum p(k) q^k
 
 The verify_* functions re-derive both sides of an identity through
@@ -20,9 +21,11 @@ coefficient index on mismatch.  Verification order defaults to 500.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .numtheory import (
+    euler_quotient,
     jacobi_count,
     partitions_table,
     sigma3_table,
@@ -41,8 +44,8 @@ _SERIES = {
     "theta4": "theta4",
     "L": "series_L",
     "M": "series_M",
-    "psi": "psi_by_recursion",
-    "phi": "phi_by_recursion",
+    "psi": "psi_by_partition_square",
+    "phi": "phi_by_reduction_of_order",
     "P": "partition_series",
 }
 _VERIFIERS = {
@@ -133,8 +136,8 @@ def psi_by_exp(order: int) -> QSeries:
 
 
 def psi_by_partition_square(order: int) -> QSeries:
-    """psi as the square of the partition generating function."""
-    return partition_series(order) ** 2
+    """psi as P(q)^2: the partition series divided once more by prod (1-q^n)."""
+    return QSeries(euler_quotient(partition_series(order).coeffs))
 
 
 def phi_by_recursion(order: int) -> QSeries:
@@ -147,12 +150,16 @@ def phi_by_reduction_of_order(order: int) -> QSeries:
 
     Reduction of order: h = g * integral of 1/g^2, and 1/g^2 = eta^4 =
     q^(1/6) prod (1-q^n)^4, so integrating term by term in tau divides
-    e_n by n + 1/6.  Independent of the sigma3 recursion; a check, not the
-    fast path.
+    e_n by n + 1/6.  The sum's int numerators over its least denominator
+    (phi's too, as P(q)^2 and 1/P(q)^2 have int coefficients) are divided
+    twice by prod (1-q^n).
     """
-    psi = psi_by_partition_square(order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     e = _euler_product(order) ** 4
-    return psi * QSeries([Fraction(c, 6 * n + 1) for n, c in enumerate(e.coeffs)])
+    den = math.lcm(*(Fraction(c, 6 * n + 1).denominator for n, c in enumerate(e.coeffs)))
+    num = [c * den // (6 * n + 1) for n, c in enumerate(e.coeffs)]
+    return QSeries(euler_quotient(euler_quotient(num))) * Fraction(1, den)
 
 
 def _euler_product(order: int) -> QSeries:

@@ -9,6 +9,7 @@ All functions are pure; callers may fan out over n with no coordination.
 from __future__ import annotations
 
 from math import isqrt
+from typing import Sequence
 
 # r4_bruteforce allocates O(n) lookup tables; cap the argument so a typo
 # cannot ask for gigabytes.
@@ -64,27 +65,28 @@ def _divisor_power_table(limit: int, power: int) -> list[int]:
     return table
 
 
+def euler_quotient(y: Sequence[int]) -> list[int]:
+    """x with x * prod (1-q^n) = y through the length of y, by Euler's
+    pentagonal recurrence x_n = y_n + sum_{k>=1} (-1)^(k+1) (x_{n-k(3k-1)/2}
+    + x_{n-k(3k+1)/2}): about sqrt(n) additions per coefficient."""
+    # pentagonal numbers 1, 2, 5, 7, ... (those below len(y) have k^2 < len(y)), sign + or -
+    pents = [(k * (3 * k + s) // 2, k & 1)
+             for k in range(1, isqrt(len(y)) + 1) for s in (-1, 1)]
+    x: list[int] = []
+    for n, total in enumerate(y):
+        for g, plus in pents:
+            if g > n:
+                break
+            total = total + x[n - g] if plus else total - x[n - g]
+        x.append(total)
+    return x
+
+
 def partitions_table(limit: int) -> list[int]:
-    """[p(0), p(1), ..., p(limit)] by Euler's pentagonal-number recurrence."""
+    """[p(0), p(1), ..., p(limit)]: the series 1 / prod (1-q^n)."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    p = [0] * (limit + 1)
-    p[0] = 1
-    for n in range(1, limit + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p
+    return euler_quotient([1] + [0] * limit)
 
 
 def partitions(n: int) -> int:

@@ -55,7 +55,8 @@ class QSeries:
     def _of(cls, num: Sequence[int], den: int = 1, view: tuple | None = None) -> "QSeries":
         """num[n]/den in lowest terms; a given `view` holds its values as Fractions."""
         if den != 1:
-            g = math.gcd(den, *num)
+            # the last coefficients carry the largest denominators: from there gcd hits 1 soonest
+            g = math.gcd(den, *reversed(num))
             if g != 1:
                 num, den = [c // g for c in num], den // g
         series = cls.__new__(cls)
@@ -74,6 +75,11 @@ class QSeries:
         if self._view is None:
             self._view = tuple(Fraction(c, self._den) for c in self._num)
         return self._view
+
+    def floats(self) -> tuple[float, ...]:
+        """The coefficients as floats, each equal to float() of its Fraction:
+        int true division is correctly rounded, so no Fraction is built."""
+        return tuple(c / self._den for c in self._num)
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":

@@ -129,6 +129,15 @@ def dot_sum(table, q):
     return complex(np.dot(table, np.power(q, np.arange(len(table)))))
 
 
+class TestWeight1Tables:
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_bit_identical_to_recursions(self, n):
+        # each float is the correctly rounded exact coefficient, whichever
+        # construction supplies it
+        assert analytic._psi_np(n) == tuple(map(float, forms.psi_by_recursion(n).coeffs))
+        assert analytic._phi_np(n) == tuple(map(float, forms.phi_by_recursion(n).coeffs))
+
+
 class TestHorner:
     TABLES = ("_sigma_np", "_sigma3_np", "_psi_np", "_phi_np")
 

@@ -119,6 +119,11 @@ class TestPsiPhi:
         assert phi_by_reduction_of_order(400) == phi_by_recursion(400)
         assert phi_by_reduction_of_order(0) == QSeries([1])
 
+    def test_negative_order_rejected(self):
+        for builder in (psi_by_partition_square, phi_by_reduction_of_order):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                builder(-1)
+
     def test_psi_triple_reports_phi_mismatch(self, monkeypatch):
         real = forms.phi_by_reduction_of_order
 
@@ -229,6 +234,11 @@ class TestVerifiers:
 
 
 class TestNamedLookup:
+    @pytest.mark.parametrize("order", [0, 1, 2, 300, 1024])
+    def test_psi_phi_match_recursions(self, order):
+        assert named_series("psi", order) == psi_by_recursion(order)
+        assert named_series("phi", order) == phi_by_recursion(order)
+
     def test_all_names_build(self):
         for name in ("theta", "theta4", "L", "M", "psi", "phi", "P"):
             s = named_series(name, 8)

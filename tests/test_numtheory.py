@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from foursquares.numtheory import (
     divisors,
+    euler_quotient,
     jacobi_count,
     partitions,
     partitions_table,
@@ -30,6 +31,35 @@ def partitions_by_enumeration(n, max_part=None):
     return sum(
         partitions_by_enumeration(n - k, min(k, n - k)) for k in range(1, min(max_part, n) + 1)
     )
+
+
+def partitions_by_pentagonal_loop(limit):
+    """The pentagonal-number loop partitions_table ran before euler_quotient."""
+    p = [0] * (limit + 1)
+    p[0] = 1
+    for n in range(1, limit + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > n:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - g1]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return p
+
+
+def times_euler_product(x):
+    """x * prod_{k>=1} (1-q^k) through the length of x, one factor at a time."""
+    out = list(x)
+    for k in range(1, len(x)):
+        out = [c - (out[n - k] if n >= k else 0) for n, c in enumerate(out)]
+    return out
 
 
 def r4_by_quadruple_scan(n):
@@ -107,6 +137,19 @@ class TestPartitions:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             partitions(-1)
+
+    def test_matches_pentagonal_loop(self):
+        assert partitions_table(500) == partitions_by_pentagonal_loop(500)
+        assert partitions_table(0) == [1]
+        with pytest.raises(ValueError):
+            partitions_table(-1)
+
+
+class TestEulerQuotient:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-(2**240), 2**240) | st.just(0), min_size=1, max_size=60))
+    def test_times_euler_product_gives_back_input(self, y):
+        assert times_euler_product(euler_quotient(y)) == y
 
 
 class TestR4:
