@@ -49,8 +49,7 @@ _ANALYTIC = {
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
 # verify-analytic flags that set the EvalConfig field of the same name, with
 # their types; an omitted flag leaves that field's EvalConfig default in place
-_CONFIG_FLAGS = {"series_order": int, "lattice_radius": int, "row_cutoff": int,
-                 "tol": float}
+_CONFIG_FLAGS = {"lattice_radius": int, "row_cutoff": int, "tol": float}
 
 # argparse takes only plain negative numbers as positionals or option values;
 # without this, a point such as -6.7,3.4 would read as an unknown option.

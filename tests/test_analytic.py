@@ -12,7 +12,6 @@ from foursquares import analytic, forms
 from foursquares.analytic import (
     MAX_LATTICE_RADIUS,
     MAX_ROW_CUTOFF,
-    MAX_SERIES_ORDER,
     EvalConfig,
     G4_lattice,
     G4_series,
@@ -214,6 +213,34 @@ class TestRowSums:
         assert abs(rhs) < 1e-25  # the identity is all tail here
 
 
+def geometric_sum(q, weight):
+    """sum m^weight q^m, summed until the next term falls below rounding:
+    the oracle for :func:`analytic._row_sum_right`."""
+    acc = 0j
+    absq = abs(q)
+    for m in range(1, 20_001):
+        acc += (m**weight) * q**m
+        if (m**weight) * absq**m < 1e-20 * max(1.0, abs(acc)):
+            return acc
+    raise ValueError("im(tau) too small")
+
+
+class TestRowSumRight:
+    @pytest.mark.parametrize("weight", [1, 3])
+    def test_matches_geometric_loop_within_rounding(self, weight):
+        # the same Horner bound as TestHorner, over the terms actually summed
+        rng = random.Random(f"row-sum-right-{weight}")
+        u = 2.0**-53
+        bound = lambda m: weight * math.log(m)
+        for _ in range(24):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3.0))
+            q = q_of(tau)
+            n = analytic._round_up_pow2(analytic._terms_needed(abs(q), bound))
+            scale = sum(m**weight * abs(q) ** m for m in range(1, n + 1))
+            got = analytic._row_sum_right(tau, weight)
+            assert abs(got - geometric_sum(q, weight)) <= 4 * n * u * scale
+
+
 class TestG4:
     def test_lattice_matches_series_at_i(self):
         report = check_G4_expansion(1j)
@@ -332,20 +359,28 @@ class TestWeight1:
     def test_identity_reduces_to_ode(self):
         report = check_weight1_invariance(1.3j, IDENTITY)
         assert report.passed
+        assert report.error < 1e-13
 
     def test_translation(self):
         report = check_weight1_invariance(1.3j, MAT_T)
         assert report.passed
-        assert report.error < 1e-6
+        assert report.error < 1e-13
 
     def test_inversion(self):
         report = check_weight1_invariance(0.2 + 1.4j, MAT_S)
         assert report.passed
-        assert report.error < 1e-5
+        assert report.error < 1e-13
 
     def test_floor_enforced(self):
         with pytest.raises(ValueError):
             check_weight1_invariance(0.05 + 12j, MAT_S)
+
+    def test_close_to_real_axis(self):
+        # S moves 0.0236 + 0.1144i far up (im 8.4); a finite difference
+        # through the Moebius map missed here by 5.7e-2
+        report = check_weight1_invariance(0.0236 + 0.1144j, MAT_S)
+        assert report.passed
+        assert report.error < 1e-10
 
 
 class TestCusp:
@@ -356,12 +391,10 @@ class TestCusp:
         assert "control defect" in report.witness
 
     def test_single_term_control_is_large(self):
-        from foursquares.analytic import _single_term_tilde, DEFAULT_CONFIG
+        from foursquares.analytic import _single_term_tilde
 
         pt = 0.3 + 1j
-        defect = abs(
-            _single_term_tilde(pt + 1, DEFAULT_CONFIG) - _single_term_tilde(pt, DEFAULT_CONFIG)
-        )
+        defect = abs(_single_term_tilde(pt + 1) - _single_term_tilde(pt))
         assert defect > 1e-3
 
 
@@ -380,8 +413,10 @@ class TestConcurrency:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(series_order=0)
+        with pytest.raises(ValueError, match="lattice_radius must be positive"):
+            EvalConfig(lattice_radius=0)
+        with pytest.raises(ValueError, match="row_cutoff must be positive"):
+            EvalConfig(row_cutoff=-1)
         with pytest.raises(ValueError):
             EvalConfig(tol=-1.0)
 
@@ -392,14 +427,22 @@ class TestConfig:
             EvalConfig(lattice_radius=MAX_LATTICE_RADIUS + 1)
         with pytest.raises(ValueError, match="row_cutoff"):
             EvalConfig(row_cutoff=10**12)
-        EvalConfig(series_order=MAX_SERIES_ORDER)
-        with pytest.raises(ValueError, match="series_order"):
-            EvalConfig(series_order=MAX_SERIES_ORDER + 1)
 
     def test_tolerance_override(self):
         cfg = EvalConfig(tol=0.5)
         report = check_poisson(1.0, cfg)
         assert report.tol == 0.5
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-3])
+    def test_tolerance_sets_verdict_only(self, tol):
+        # term counts come from tail bounds, never from the tolerance
+        for check, args in ((check_theta_transform, (0.1 + 0.9j,)),
+                            (check_L_quasimodular, (0.1 + 1.2j, MAT_S)),
+                            (check_cusp_boundedness, ())):
+            default = check(*args)
+            override = check(*args, EvalConfig(tol=tol))
+            assert override.error == default.error
+            assert override.passed == (default.error < tol)
 
     def test_determinism(self):
         a = check_theta_transform(0.3 + 0.7j)

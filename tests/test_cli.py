@@ -159,11 +159,11 @@ class TestVerifyAnalytic:
         assert code == 2 and out == ""
         assert "must be <=" in err
 
-    def test_series_order_above_ceiling_is_usage_error(self):
-        # rejected before any table is built: 5000 would ask for exact phi at 8192
+    def test_series_order_flag_is_unrecognized(self):
+        # term counts come from tail bounds; there is no flag to raise them
         code, out, err = invoke(["verify-analytic", "ode-solution", "--series-order", "5000"])
         assert code == 2 and out == ""
-        assert "series_order must be <= 2048" in err
+        assert "unrecognized arguments: --series-order" in err
 
     def test_precondition_violation_is_usage_error(self):
         code, _, err = invoke(
