@@ -82,8 +82,6 @@ def theta4(order: int) -> QSeries:
 def series_L(order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order == 0:
-        return QSeries([1])
     sig = sigma_table(order)
     return QSeries([1] + [-24 * sig[n] for n in range(1, order + 1)])
 
@@ -91,8 +89,6 @@ def series_L(order: int) -> QSeries:
 def series_M(order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order == 0:
-        return QSeries([1])
     sig3 = sigma3_table(order)
     return QSeries([1] + [240 * sig3[n] for n in range(1, order + 1)])
 
@@ -110,7 +106,7 @@ def psi_by_recursion(order: int) -> QSeries:
     The coefficients are provably integers; a non-integral value would
     falsify that, so it raises rather than warns.
     """
-    b = recurrence(sigma_table(max(order, 1)), lambda n: Fraction(2, n), order)
+    b = recurrence(sigma_table(order), lambda n: Fraction(2, n), order)
     for n, bn in enumerate(b.coeffs):
         if bn.denominator != 1:
             raise ArithmeticError(f"b_{n} = {bn} is not an integer")
@@ -123,14 +119,14 @@ def psi_by_sigma3_recursion(order: int) -> QSeries:
     Agreement with :func:`psi_by_recursion` is exactly the formal content of
     the Ramanujan differential identity.
     """
-    return recurrence(sigma3_table(max(order, 1)), lambda n: Fraction(10, n * (6 * n - 1)), order)
+    return recurrence(sigma3_table(order), lambda n: Fraction(10, n * (6 * n - 1)), order)
 
 
 def psi_by_exp(order: int) -> QSeries:
     """psi as exp(2 * sum sigma(n)/n q^n)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    sig = sigma_table(order) if order >= 1 else [0]
+    sig = sigma_table(order)
     arg = QSeries([0] + [Fraction(2 * sig[n], n) for n in range(1, order + 1)])
     return exp0(arg)
 
@@ -142,7 +138,7 @@ def psi_by_partition_square(order: int) -> QSeries:
 
 def phi_by_recursion(order: int) -> QSeries:
     """phi from a_0 = 1, a_n = 10/(n(6n+1)) sum sigma3(k) a_{n-k}; exact rationals."""
-    return recurrence(sigma3_table(max(order, 1)), lambda n: Fraction(10, n * (6 * n + 1)), order)
+    return recurrence(sigma3_table(order), lambda n: Fraction(10, n * (6 * n + 1)), order)
 
 
 def phi_by_reduction_of_order(order: int) -> QSeries:
@@ -195,22 +191,24 @@ def first_mismatch(got: QSeries, want: QSeries, upto: int):
     return None
 
 
-def _series_report(identity: str, order: int, got: QSeries, want: QSeries) -> CheckReport:
+def _mismatch(got: QSeries, want: QSeries, order: int,
+              label: str = "coefficient") -> str | None:
+    """The witness text of the first disagreement up to `order`, or None."""
     bad = first_mismatch(got, want, order)
-    if bad is None:
-        return CheckReport(identity=identity, passed=True, order=order)
-    n, g, w = bad
-    return CheckReport(
-        identity=identity,
-        passed=False,
-        order=order,
-        witness=f"coefficient {n}: got {g}, expected {w}",
-    )
+    return None if bad is None else "{} {}: got {}, expected {}".format(label, *bad)
+
+
+def _exact_report(identity: str, order: int, failure: str | None = None,
+                  note: str | None = None) -> CheckReport:
+    """The pass rule of every exact check: it passes iff no failure was
+    found.  The witness is the failure, or on a pass the optional note."""
+    return CheckReport(identity=identity, passed=failure is None, order=order,
+                       witness=failure or note)
 
 
 def _ode_report(L: QSeries, M: QSeries, order: int) -> CheckReport:
     defect = 12 * qderiv(L) - L * L + M
-    return _series_report("ramanujan-ode", order, defect, QSeries.zero(order))
+    return _exact_report("ramanujan-ode", order, _mismatch(defect, QSeries.zero(order), order))
 
 
 def verify_ramanujan_ode(order: int = DEFAULT_ORDER) -> CheckReport:
@@ -228,7 +226,7 @@ def verify_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
     diff = t4 - substitute_neg(t4)
     sig = sigma_table(order)
     want = QSeries([0] + [16 * sig[n] if n % 2 else 0 for n in range(1, order + 1)])
-    return _series_report("jacobi-odd-part", order, diff, want)
+    return _exact_report("jacobi-odd-part", order, _mismatch(diff, want, order))
 
 
 def verify_lagrange(order: int = DEFAULT_ORDER) -> CheckReport:
@@ -236,15 +234,9 @@ def verify_lagrange(order: int = DEFAULT_ORDER) -> CheckReport:
     if order < 1:
         raise ValueError("order must be >= 1")
     t4 = theta4(order)
-    for n in range(1, order + 1):
-        if t4[n] <= 0:
-            return CheckReport(
-                identity="lagrange-positivity",
-                passed=False,
-                order=order,
-                witness=f"coefficient {n}: got {t4[n]}, expected > 0",
-            )
-    return CheckReport(identity="lagrange-positivity", passed=True, order=order)
+    n = next((n for n in range(1, order + 1) if t4[n] <= 0), None)
+    return _exact_report("lagrange-positivity", order,
+                         None if n is None else f"coefficient {n}: got {t4[n]}, expected > 0")
 
 
 def verify_full_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
@@ -253,7 +245,7 @@ def verify_full_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
         raise ValueError("order must be >= 1")
     t4 = theta4(order)
     want = QSeries([1] + [jacobi_count(n) for n in range(1, order + 1)])
-    return _series_report("full-jacobi-formula", order, t4, want)
+    return _exact_report("full-jacobi-formula", order, _mismatch(t4, want, order))
 
 
 def verify_sigma_lambert(order: int = DEFAULT_ORDER) -> CheckReport:
@@ -269,9 +261,8 @@ def verify_sigma_lambert(order: int = DEFAULT_ORDER) -> CheckReport:
         for m in range(n, order + 1, n):
             lambert[m] += n
     sig = sigma_table(order)
-    got = QSeries(lambert)
     want = QSeries([0] + [sig[n] for n in range(1, order + 1)])
-    return _series_report("sigma-lambert", order, got, want)
+    return _exact_report("sigma-lambert", order, _mismatch(QSeries(lambert), want, order))
 
 
 def verify_psi_triple(order: int = 300) -> CheckReport:
@@ -288,27 +279,15 @@ def verify_psi_triple(order: int = 300) -> CheckReport:
         ("sigma3-recursion", psi_by_sigma3_recursion(order), by_rec),
         ("reduction-of-order", phi_by_reduction_of_order(order), a),
     ):
-        bad = first_mismatch(other, ref, order)
-        if bad is not None:
-            n, g, w = bad
-            return CheckReport(
-                identity="psi-triple",
-                passed=False,
-                order=order,
-                witness=f"{name} coefficient {n}: got {g}, expected {w}",
-            )
+        if failure := _mismatch(other, ref, order, f"{name} coefficient"):
+            return _exact_report("psi-triple", order, failure)
     for n in range(order + 1):
         if by_rec[n] <= 0:
-            return CheckReport(
-                identity="psi-triple", passed=False, order=order,
-                witness=f"b_{n} = {by_rec[n]} is not positive",
-            )
+            return _exact_report("psi-triple", order, f"b_{n} = {by_rec[n]} is not positive")
         if not (0 < a[n] <= by_rec[n]):
-            return CheckReport(
-                identity="psi-triple", passed=False, order=order,
-                witness=f"a_{n} = {a[n]} outside (0, b_{n} = {by_rec[n]}]",
-            )
-    return CheckReport(identity="psi-triple", passed=True, order=order)
+            return _exact_report("psi-triple", order,
+                                 f"a_{n} = {a[n]} outside (0, b_{n} = {by_rec[n]}]")
+    return _exact_report("psi-triple", order)
 
 
 def verify_final_proportionality(order: int = DEFAULT_ORDER) -> CheckReport:
@@ -325,20 +304,11 @@ def verify_final_proportionality(order: int = DEFAULT_ORDER) -> CheckReport:
     rhs = L - substitute_neg(L)
     lead = next((n for n in range(order + 1) if rhs[n] != 0), None)
     if lead is None:
-        return CheckReport(
-            identity="final-proportionality", passed=False, order=order,
-            witness="right side vanishes identically; no constant to derive",
-        )
+        return _exact_report("final-proportionality", order,
+                             "right side vanishes identically; no constant to derive")
     ratio = Fraction(lhs[lead], rhs[lead])
-    got = lhs
-    want = ratio * rhs
-    report = _series_report("final-proportionality", order, got, want)
-    if report.passed:
-        return CheckReport(
-            identity="final-proportionality", passed=True, order=order,
-            witness=f"constant = {ratio}",
-        )
-    return report
+    return _exact_report("final-proportionality", order, _mismatch(lhs, ratio * rhs, order),
+                         note=f"constant = {ratio}")
 
 
 def run_verification(name: str, order: int) -> CheckReport:

@@ -55,8 +55,8 @@ def sigma3_table(limit: int) -> list[int]:
 
 
 def _divisor_power_table(limit: int, power: int) -> list[int]:
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     table = [0] * (limit + 1)
     for d in range(1, limit + 1):
         dp = d**power

@@ -203,6 +203,37 @@ class TestRowSums:
         assert report.passed
         assert report.error < 1e-4
 
+    @pytest.mark.parametrize("tau", [0.1 + 0.1j, 0.05 + 0.05j])
+    def test_weight4_near_real_axis(self, tau):
+        # the right side grows to about 1e4 here; an error of about 2e-16
+        # of it is rounding, which the tolerance now covers
+        report = check_row_sum4(tau)
+        assert report.passed
+        assert 1e-12 < report.error < report.tol < 1e-7
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, -0.4 + 0.05j, 0.02 + 0.3j])
+    @pytest.mark.parametrize("power, coeff", [(2, -4 * math.pi**2), (4, 8 * math.pi**4 / 3)])
+    def test_rounding_bound_against_reference(self, tau, power, coeff):
+        # the float difference of the two sides lies within the rounding
+        # bound of the exact difference of the same truncated sums
+        mpmath = pytest.importorskip("mpmath")
+        cutoff = 3000
+        err, rounding = analytic._row_sum_error(tau, power, coeff, cutoff)
+        with mpmath.workdps(40):
+            t = mpmath.mpc(tau.real, tau.imag)
+            left = mpmath.fsum((t + d) ** -power for d in range(-cutoff, cutoff + 1))
+            q = mpmath.exp(2j * mpmath.pi * t)
+            right = mpmath.fsum(mpmath.mpf(m) ** (power - 1) * q**m for m in range(1, 2000))
+            exact = abs(left - coeff * right)
+        assert abs(err - exact) <= rounding
+
+    @pytest.mark.parametrize("im", [0.002, 0.01, 0.1, 1.0])
+    def test_weight2_rounding_below_its_tail(self, im, monkeypatch):
+        # the rounding bound never reads the left sum, so skip building it
+        monkeypatch.setattr(analytic, "_row_sum_left", lambda tau, power, cutoff: 0j)
+        _, rounding = analytic._row_sum_error(0.3 + 1j * im, 2, -4 * math.pi**2, MAX_ROW_CUTOFF)
+        assert rounding < 2.0 / MAX_ROW_CUTOFF
+
     def test_single_term_regime(self):
         # far up the cylinder the right side is one geometric term
         tau = 0.5 + 10j
@@ -328,6 +359,13 @@ class TestGandH:
         assert report.passed
         assert report.error < 1e-8
 
+    def test_fails_its_nonzero_test_below_tolerance(self, monkeypatch):
+        monkeypatch.setattr(analytic, "h_eval", lambda tau: 0j)
+        report = check_g_properties(1.1j, 0.4 + 0.9j)
+        assert report.error < report.tol
+        assert not report.passed
+        assert "|h(i)|=0," in report.witness
+
     def test_h_at_i_nonzero(self):
         assert abs(h_eval(1j)) > 0.1
 
@@ -345,10 +383,16 @@ class TestOdeSolution:
         assert report.passed
         assert report.error < 1e-9
 
-    def test_finite_difference_guard(self):
-        report = check_ode_solution(2j)
-        assert "fd defect" in report.witness
-        assert report.passed
+    def test_passes_at_law_workload_points(self):
+        # drawn as the benchmark's laws workload draws them: Re in [-0.5, 1],
+        # Im log-uniform in (0.1, 3]
+        rng = random.Random("ode-solution-laws")
+        for _ in range(200):
+            tau = complex(rng.uniform(-0.5, 1.0), 0.1 * 30.0 ** rng.random())
+            if tau.imag > 0.1:
+                report = check_ode_solution(tau)
+                assert report.passed, report.describe()
+                assert report.witness.startswith("residual g=")
 
     def test_requires_comfortable_height(self):
         with pytest.raises(ValueError):
@@ -389,6 +433,14 @@ class TestCusp:
         assert report.passed
         assert report.error < 1e-8
         assert "control defect" in report.witness
+
+    def test_fails_on_its_control_below_tolerance(self, monkeypatch):
+        # a control that stays periodic means the sweep could not see a defect
+        monkeypatch.setattr(analytic, "_single_term_tilde", lambda tilde: 0j)
+        report = check_cusp_boundedness()
+        assert report.error < report.tol
+        assert not report.passed
+        assert "control defect=0.000e+00 (must exceed 0.001)" in report.witness
 
     def test_single_term_control_is_large(self):
         from foursquares.analytic import _single_term_tilde

@@ -119,6 +119,12 @@ class TestPsiPhi:
         assert phi_by_reduction_of_order(400) == phi_by_recursion(400)
         assert phi_by_reduction_of_order(0) == QSeries([1])
 
+    def test_order_zero_is_one(self):
+        for builder in (series_L, series_M, psi_by_recursion, psi_by_sigma3_recursion,
+                        psi_by_exp, psi_by_partition_square, phi_by_recursion,
+                        phi_by_reduction_of_order):
+            assert builder(0) == QSeries([1])
+
     def test_negative_order_rejected(self):
         for builder in (psi_by_partition_square, phi_by_reduction_of_order):
             with pytest.raises(ValueError, match="order must be >= 0"):
@@ -231,6 +237,62 @@ class TestVerifiers:
         first = verify_jacobi(60)
         second = verify_jacobi(60)
         assert first == second
+
+
+class TestFailureWitnesses:
+    """Each failing verifier names its first witness, pinned character for
+    character through a deliberately broken input."""
+
+    @staticmethod
+    def _bump(monkeypatch, name, coeff, degree):
+        real = getattr(forms, name)
+        monkeypatch.setattr(forms, name,
+                            lambda order: real(order) + QSeries.monomial(coeff, degree, order))
+
+    def _failure(self, verifier, order):
+        report = verifier(order)
+        assert not report.passed
+        assert report.order == order
+        assert report.error is None and report.tol is None
+        return report.witness
+
+    def test_lagrange_zero_coefficient(self, monkeypatch):
+        self._bump(monkeypatch, "theta4", -64, 7)  # r4(7) = 64
+        assert self._failure(verify_lagrange, 20) == "coefficient 7: got 0, expected > 0"
+
+    def test_psi_triple_nonpositive_b(self, monkeypatch):
+        # every psi construction agrees on the broken b_3 = 10 - 40
+        for name in ("psi_by_recursion", "psi_by_exp", "psi_by_partition_square",
+                     "psi_by_sigma3_recursion"):
+            self._bump(monkeypatch, name, -40, 3)
+        assert self._failure(verify_psi_triple, 20) == "b_3 = -30 is not positive"
+
+    def test_psi_triple_a_above_b(self, monkeypatch):
+        for name in ("phi_by_recursion", "phi_by_reduction_of_order"):
+            self._bump(monkeypatch, name, 100, 5)
+        a5 = phi_by_recursion(20)[5] + 100
+        b5 = psi_by_recursion(20)[5]
+        assert self._failure(verify_psi_triple, 20) == f"a_5 = {a5} outside (0, b_5 = {b5}]"
+
+    def test_psi_triple_psi_mismatch(self, monkeypatch):
+        b = psi_by_recursion(20)
+        self._bump(monkeypatch, "psi_by_exp", 1, 4)
+        assert (self._failure(verify_psi_triple, 20)
+                == f"exp-construction coefficient 4: got {b[4] + 1}, expected {b[4]}")
+
+    def test_proportionality_vanishing_right_side(self, monkeypatch):
+        monkeypatch.setattr(forms, "series_L", lambda order: QSeries.monomial(1, 0, order))
+        assert (self._failure(verify_final_proportionality, 30)
+                == "right side vanishes identically; no constant to derive")
+
+    def test_proportionality_mismatch(self, monkeypatch):
+        # the odd part doubles theta^4's 48 + 1 at n = 5; -1/3 * 2 * -144 = 96
+        self._bump(monkeypatch, "theta4", 1, 5)
+        assert self._failure(verify_final_proportionality, 30) == "coefficient 5: got 98, expected 96"
+
+    def test_series_identity_mismatch(self, monkeypatch):
+        monkeypatch.setattr(forms, "sigma_table", lambda order: [0, 2] + [0] * (order - 1))
+        assert self._failure(verify_sigma_lambert, 10) == "coefficient 1: got 1, expected 2"
 
 
 class TestNamedLookup:

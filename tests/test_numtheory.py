@@ -101,6 +101,13 @@ class TestDivisorSums:
             assert st1[n] == sigma(n)
             assert st3[n] == sigma3(n)
 
+    def test_tables_start_at_limit_zero(self):
+        # like partitions_table: limit 0 is the bare index-0 slot
+        assert sigma_table(0) == sigma3_table(0) == [0]
+        for table in (sigma_table, sigma3_table):
+            with pytest.raises(ValueError, match="limit must be >= 0"):
+                table(-1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 300))
     def test_multiplicative_on_coprime_arguments(self, m, n):
