@@ -206,7 +206,7 @@ class TestRowSums:
     @pytest.mark.parametrize("tau", [0.1 + 0.1j, 0.05 + 0.05j])
     def test_weight4_near_real_axis(self, tau):
         # the right side grows to about 1e4 here; an error of about 2e-16
-        # of it is rounding, which the tolerance now covers
+        # of it is rounding, which the tolerance covers
         report = check_row_sum4(tau)
         assert report.passed
         assert 1e-12 < report.error < report.tol < 1e-7
