@@ -1,9 +1,8 @@
 """Exact q-series arithmetic, congruence-subgroup algebra, and numerical
-verification of the transformation laws behind the four-squares theorem."""
+verification of the transformation laws behind the four-squares theorem.
 
-from .qseries import QSeries
-from .report import CheckReport
-
-__all__ = ["QSeries", "CheckReport"]
+Importing the package loads no submodule: each command-line run imports
+only the modules its subcommand uses.
+"""
 
 __version__ = "0.1.0"

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
-from . import forms
-from .modgroup import Mat2Z, in_gamma0_4, mobius, MembershipError
 from .numtheory import sigma3_table, sigma_table
-from .qseries import QSeries
-from .report import CheckReport
+from .report import CheckReport, MembershipError, Record
+
+if TYPE_CHECKING:
+    from .modgroup import Mat2Z
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
@@ -67,8 +67,7 @@ CUSP_CONTROL_THRESHOLD = 1e-3
 MAX_LATTICE_RADIUS = 10_000
 MAX_ROW_CUTOFF = 4_000_000
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(Record):
     """What the checks may vary: lattice cutoff R, row-sum cutoff D, and an
     optional tolerance override (None = per-check default).
 
@@ -77,19 +76,19 @@ class EvalConfig:
     verdicts only, never a computed value.
     """
 
-    lattice_radius: int = 3000
-    row_cutoff: int = 200_000
-    tol: float | None = None
+    __slots__ = ("lattice_radius", "row_cutoff", "tol")
 
-    def __post_init__(self):
-        for field, ceiling in (("lattice_radius", MAX_LATTICE_RADIUS),
-                               ("row_cutoff", MAX_ROW_CUTOFF)):
-            if getattr(self, field) <= 0:
+    def __init__(self, lattice_radius: int = 3000, row_cutoff: int = 200_000,
+                 tol: float | None = None):
+        for field, value, ceiling in (("lattice_radius", lattice_radius, MAX_LATTICE_RADIUS),
+                                      ("row_cutoff", row_cutoff, MAX_ROW_CUTOFF)):
+            if value <= 0:
                 raise ValueError(f"{field} must be positive")
-            if getattr(self, field) > ceiling:
+            if value > ceiling:
                 raise ValueError(f"{field} must be <= {ceiling}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite (got {self.tol})")
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be positive and finite (got {tol})")
+        self.lattice_radius, self.row_cutoff, self.tol = lattice_radius, row_cutoff, tol
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -161,11 +160,6 @@ def _horner(coeffs, q: complex) -> complex:
     return acc
 
 
-def eval_qseries(series: QSeries, q: complex) -> complex:
-    """Horner evaluation of an exact series at a complex point."""
-    return _horner([float(c) for c in series.coeffs], q)
-
-
 # ---------------------------------------------------------------- evaluators
 
 def theta_eval(tau: complex) -> complex:
@@ -216,12 +210,14 @@ def M_eval(tau: complex) -> complex:
 
 @lru_cache(maxsize=None)
 def _psi_np(order: int) -> tuple[float, ...]:
-    return forms.named_series("psi", order).floats()
+    from . import forms
+    return forms.psi_by_partition_square(order).floats()
 
 
 @lru_cache(maxsize=None)
 def _phi_np(order: int) -> tuple[float, ...]:
-    return forms.named_series("phi", order).floats()
+    from . import forms
+    return forms.phi_by_reduction_of_order(order).floats()
 
 
 def _weight1_bound(n: int) -> float:
@@ -283,6 +279,7 @@ def _law_report(identity: str, error: float, cfg: EvalConfig, ok: bool = True,
 def _image(m: Mat2Z, tau: complex, floor: float = 0.05) -> complex:
     """A tau, rejected when its imaginary part drops below the floor that
     series evaluation at A tau needs."""
+    from .modgroup import mobius
     atau = mobius(m, tau)
     if atau.imag < floor:
         raise ValueError(f"im(A tau) must stay >= {floor:g} for series evaluation")
@@ -331,10 +328,22 @@ def _power_tail(weight: int):
     return lambda m: weight * math.log(m)
 
 
-def _row_sum_right(tau: complex, weight: int) -> complex:
-    """sum m^weight q^m, truncated by its tail bound m^weight |q|^m."""
-    return _truncated_sum(tau, lambda n: [float(m**weight) for m in range(n + 1)],
-                          _power_tail(weight))
+def _row_sum_right(tau: complex, weight: int) -> tuple[complex, float]:
+    """sum m^weight q^m, truncated by its tail bound m^weight |q|^m (bit for
+    bit the value of :func:`_truncated_sum`), and mu, a bound on its rounding
+    error in units of u, from the same Horner pass (Higham §5.1, Algorithm
+    5.1, made complex): y q rounds by at most sqrt(2) gamma_2 |y q| <= 3u |y q|
+    (§3.6) and adding the real c by u |y q + c|, so the error of y_k is at
+    most u mu_k, mu_k = |q| (mu_(k+1) + 3 |y_(k+1)|) + |y_k|, to 1 + O(n u).
+    """
+    q = _q_from_tau(tau)
+    absq = abs(q)
+    acc, mu = 0j, 0.0
+    for m in range(_round_up_pow2(_terms_needed(absq, _power_tail(weight))), -1, -1):
+        prev = abs(acc)
+        acc = acc * q + float(m**weight)
+        mu = absq * (mu + 3.0 * prev) + abs(acc)
+    return acc, mu
 
 
 def _row_sum_error(tau: complex, power: int, coeff: float,
@@ -347,15 +356,16 @@ def _row_sum_error(tau: complex, power: int, coeff: float,
     128 summed in 8 interleaved runs; with the pairs, d = 0 and 4 power
     roundings to form a term, u has the factor log2(cutoff) + 18 + 4 power,
     times sum |tau+d|^-power <= peak y^-power + integral c y^(1-power),
-    y = im(tau).  Right, Horner (§5.1): 4 n u |coeff| sum m^(power-1) |q|^m
-    over its n terms, the right side at i y as its coefficients are positive.
+    y = im(tau).  Right, |coeff| mu from :func:`_row_sum_right`, times 1.01
+    for its 1 + O(n u), plus u |coeff S| each for the product by coeff and
+    for the difference of the sides.
     """
     y = tau.imag
     c = math.sqrt(_PI) * math.gamma((power - 1) / 2) / math.gamma(power / 2)
     left = (math.ceil(math.log2(cutoff)) + 18 + 4 * power) * (y**-power + c * y ** (1 - power))
-    n = _round_up_pow2(_terms_needed(abs(_q_from_tau(tau)), _power_tail(power - 1)))
-    right = 4 * n * abs(coeff) * _row_sum_right(1j * y, power - 1).real
-    err = abs(_row_sum_left(tau, power, cutoff) - coeff * _row_sum_right(tau, power - 1))
+    total, mu = _row_sum_right(tau, power - 1)
+    right = abs(coeff) * (1.01 * mu + 2.0 * abs(total))
+    err = abs(_row_sum_left(tau, power, cutoff) - coeff * total)
     return err, _U * (left + right)
 
 
@@ -423,6 +433,7 @@ def _xi_combination(tau: complex) -> complex:
 def check_Xi_invariance(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """(L - L(.+1/2)) transforms with weight 2 under the level-4 group;
     the Jacobian (c tau + d)^-2 cancels the weight exactly."""
+    from .modgroup import in_gamma0_4
     tau = _require_uhp(tau)
     if not in_gamma0_4(m):
         raise MembershipError(f"{m.format()} is not upper-triangular mod 4")

@@ -17,11 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import forms, modgroup
-from .modgroup import MembershipError, Mat2Z
-from .numtheory import jacobi_count, r4_bruteforce
-from .qseries import format_golden, parse_golden
-from .report import CheckReport
+from .report import CheckReport, MembershipError
 
 DEFAULT_TAU = complex(0.3, 1.1)
 # The level-4 invariance check needs im(A tau) >= 0.05 for its default
@@ -29,27 +25,54 @@ DEFAULT_TAU = complex(0.3, 1.1)
 XI_DEFAULT_TAU = complex(0.1, 0.5)
 POISSON_POINTS = (0.1, 0.5, 1.0, 2.0)
 
+# Every display name the subcommands take, with the name of the function
+# that serves it.  Functions are looked up at call time, so a rebound module
+# attribute (a tracer, a test double) sees every call, and a module (numpy
+# with `analytic`) is imported only when a command runs it.
+# expand name -> series constructor in `forms`
+_SERIES = {
+    "theta": "theta",
+    "theta4": "theta4",
+    "L": "series_L",
+    "M": "series_M",
+    "psi": "psi_by_partition_square",
+    "phi": "phi_by_reduction_of_order",
+    "P": "partition_series",
+}
+# verify name -> coefficient-exact verifier in `forms`
+_VERIFIERS = {
+    "jacobi": "verify_jacobi",
+    "lagrange": "verify_lagrange",
+    "full-jacobi": "verify_full_jacobi",
+    "ode": "verify_ramanujan_ode",
+    "psi-triple": "verify_psi_triple",
+    "lambert": "verify_sigma_lambert",
+    "proportionality": "verify_final_proportionality",
+}
 # verify-analytic name -> (check function in `analytic`, default tau, default
-# matrix).  A None default means the check takes no such argument and rejects
-# the flag.  Checks are looked up by name at call time, so a rebound module
-# attribute (a tracer, a test double) sees every call.  `analytic` (and with
-# it numpy) is imported only when a check runs.
+# matrix as a `modgroup` attribute).  A None default means the check takes no
+# such argument and rejects the flag.
 _ANALYTIC = {
     "poisson": ("check_poisson", None, None),
     "theta-transform": ("check_theta_transform", DEFAULT_TAU, None),
     "row-sum2": ("check_row_sum2", DEFAULT_TAU, None),
     "row-sum4": ("check_row_sum4", DEFAULT_TAU, None),
     "g4": ("check_G4_expansion", DEFAULT_TAU, None),
-    "quasimodular": ("check_L_quasimodular", DEFAULT_TAU, modgroup.MAT_S),
-    "xi": ("check_Xi_invariance", XI_DEFAULT_TAU, modgroup.MAT_U),
+    "quasimodular": ("check_L_quasimodular", DEFAULT_TAU, "MAT_S"),
+    "xi": ("check_Xi_invariance", XI_DEFAULT_TAU, "MAT_U"),
     "ode-solution": ("check_ode_solution", DEFAULT_TAU, None),
-    "weight1": ("check_weight1_invariance", DEFAULT_TAU, modgroup.MAT_S),
+    "weight1": ("check_weight1_invariance", DEFAULT_TAU, "MAT_S"),
     "cusp": ("check_cusp_boundedness", None, None),
 }
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
 # verify-analytic flags that set the EvalConfig field of the same name, with
 # their types; an omitted flag leaves that field's EvalConfig default in place
 _CONFIG_FLAGS = {"lattice_radius": int, "row_cutoff": int, "tol": float}
+
+# Ceiling on expand/verify --order, measured at 3000 on a 2-core VM: `verify
+# psi-triple` 5.7 s, `expand phi` 1.6 s, all others under 0.1 s.  Near 3250,
+# phi's coefficients pass Python's 4300-digit limit on int-to-text conversion.
+MAX_ORDER = 3000
 
 # argparse takes only plain negative numbers as positionals or option values;
 # without this, a point such as -6.7,3.4 would read as an unknown option.
@@ -73,7 +96,8 @@ def _parse_tau(text: str) -> complex:
     return tau
 
 
-def _parse_matrix_arg(text: str) -> Mat2Z:
+def _parse_matrix_arg(text: str):
+    from . import modgroup
     try:
         return modgroup.parse_matrix(text)
     except ValueError as exc:
@@ -93,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("expand", help="print exact series coefficients")
-    p.add_argument("name", choices=forms.NAMED_SERIES)
+    p.add_argument("name", choices=tuple(_SERIES))
     p.add_argument("--order", type=int, default=200)
     p.add_argument("--golden-dir", type=Path, default=None,
                    help="compare against <dir>/<name>.txt instead of printing only")
     add_format(p)
 
     p = sub.add_parser("verify", help="coefficient-exact identity checks")
-    p.add_argument("name", choices=forms.VERIFICATIONS)
+    p.add_argument("name", choices=tuple(_VERIFIERS))
     p.add_argument("--order", type=int, default=200)
     add_format(p)
 
@@ -149,8 +173,20 @@ def _report_payload(reports: list[CheckReport]) -> dict:
     }
 
 
+def _forms_call(table: dict, name: str, order: int):
+    """The `forms` function that table names for a display name, called at order."""
+    if name not in table:
+        raise ValueError(f"unknown name {name!r}; expected one of {tuple(table)}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}")
+    from . import forms
+    return getattr(forms, table[name])(order)
+
+
 def _cmd_expand(args, out) -> int:
-    series = forms.named_series(args.name, args.order)
+    from .forms import first_mismatch
+    from .qseries import format_golden, parse_golden
+    series = _forms_call(_SERIES, args.name, args.order)
     if args.golden_dir is None:
         # each coefficient is formatted once: the JSON list reuses the lines
         lines = format_golden(series).splitlines()
@@ -165,7 +201,7 @@ def _cmd_expand(args, out) -> int:
     path = args.golden_dir / f"{args.name}.txt"
     golden = parse_golden(path.read_text())
     upto = min(golden.order, series.order)
-    mismatch = forms.first_mismatch(series, golden, upto)
+    mismatch = first_mismatch(series, golden, upto)
     payload = {
         "command": "expand",
         "name": args.name,
@@ -185,7 +221,7 @@ def _cmd_expand(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    report = forms.run_verification(args.name, args.order)
+    report = _forms_call(_VERIFIERS, args.name, args.order)
     _emit(_report_payload([report]), [report.describe()], args.format, out)
     return 0 if report.passed else 1
 
@@ -206,7 +242,8 @@ def _analytic_reports(name: str, tau: complex | None, matrix, settings: dict):
     if default_tau is not None:
         args.append(default_tau if tau is None else tau)
     if default_matrix is not None:
-        args.append(default_matrix if matrix is None else matrix)
+        from . import modgroup
+        args.append(getattr(modgroup, default_matrix) if matrix is None else matrix)
     return [check(*args, cfg)]
 
 
@@ -223,6 +260,8 @@ def _cmd_verify_analytic(args, out) -> int:
 
 
 def _cmd_r4(args, out) -> int:
+    from . import forms
+    from .numtheory import jacobi_count, r4_bruteforce
     n = args.n
     brute = r4_bruteforce(n)
     coeff = int(forms.theta4(n)[n])
@@ -247,6 +286,7 @@ def _cmd_r4(args, out) -> int:
 
 
 def _cmd_reduce_tau(args, out) -> int:
+    from . import modgroup
     reduced, word = modgroup.reduce_to_fundamental(args.tau)
     mat = word.evaluate()
     payload = {
@@ -267,6 +307,7 @@ def _cmd_reduce_tau(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
+    from . import modgroup
     word = modgroup.decompose(args.matrix)
     payload = {
         "command": "decompose",
@@ -278,6 +319,7 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _cmd_indices(args, out) -> int:
+    from . import modgroup
     idx = modgroup.congruence_indices()
     payload = {"command": "indices", **idx}
     lines = [

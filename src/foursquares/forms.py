@@ -36,30 +36,6 @@ from .report import CheckReport
 
 DEFAULT_ORDER = 500
 
-# Display name -> constructor, and check name -> verifier.  Entries name
-# functions of this module and are looked up at call time, so a rebound
-# module attribute (a tracer, a test double) sees every call.
-_SERIES = {
-    "theta": "theta",
-    "theta4": "theta4",
-    "L": "series_L",
-    "M": "series_M",
-    "psi": "psi_by_partition_square",
-    "phi": "phi_by_reduction_of_order",
-    "P": "partition_series",
-}
-_VERIFIERS = {
-    "jacobi": "verify_jacobi",
-    "lagrange": "verify_lagrange",
-    "full-jacobi": "verify_full_jacobi",
-    "ode": "verify_ramanujan_ode",
-    "psi-triple": "verify_psi_triple",
-    "lambert": "verify_sigma_lambert",
-    "proportionality": "verify_final_proportionality",
-}
-NAMED_SERIES = tuple(_SERIES)
-VERIFICATIONS = tuple(_VERIFIERS)
-
 
 def theta(order: int) -> QSeries:
     """Coefficient n is 2 if n is a positive perfect square, 1 if n = 0, else 0."""
@@ -170,13 +146,6 @@ def _euler_product(order: int) -> QSeries:
                 coeffs[g] = -1 if k & 1 else 1
         k += 1
     return QSeries(coeffs)
-
-
-def named_series(name: str, order: int) -> QSeries:
-    """Look up a series constructor by its display name."""
-    if name not in _SERIES:
-        raise ValueError(f"unknown series {name!r}; expected one of {NAMED_SERIES}")
-    return globals()[_SERIES[name]](order)
 
 
 # ----------------------------------------------------------------- verifiers
@@ -309,10 +278,3 @@ def verify_final_proportionality(order: int = DEFAULT_ORDER) -> CheckReport:
     ratio = Fraction(lhs[lead], rhs[lead])
     return _exact_report("final-proportionality", order, _mismatch(lhs, ratio * rhs, order),
                          note=f"constant = {ratio}")
-
-
-def run_verification(name: str, order: int) -> CheckReport:
-    """Dispatch a named coefficient-exact verification."""
-    if name not in _VERIFIERS:
-        raise ValueError(f"unknown verification {name!r}; expected one of {VERIFICATIONS}")
-    return globals()[_VERIFIERS[name]](order)

@@ -20,8 +20,9 @@ exact; only the points are floating complex numbers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
+
+from .report import MembershipError, Record
 
 # Boundary membership of D is resolved in favour of "inside".
 DOMAIN_EPS = 1e-12
@@ -31,24 +32,17 @@ DOMAIN_EPS = 1e-12
 REDUCE_MAX_STEPS = 10**6
 
 
-class MembershipError(ValueError):
-    """A matrix was outside the congruence subgroup an operation requires."""
-
-
-@dataclass(frozen=True)
-class Mat2Z:
+class Mat2Z(Record):
     """Integer matrix [[a, b], [c, d]] with determinant exactly 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        for entry in (a, b, c, d):
             if not isinstance(entry, int):
                 raise TypeError("matrix entries must be integers")
-        if self.a * self.d - self.b * self.c != 1:
+        if a * d - b * c != 1:
             raise ValueError(f"determinant of {self.format()} is not 1")
 
     def __mul__(self, other: "Mat2Z") -> "Mat2Z":
@@ -174,15 +168,14 @@ def congruence_indices() -> dict[str, int]:
 _WORD_LETTER_RE = re.compile(r"([TU])(?:\^(-?\d+))?")
 
 
-@dataclass(frozen=True)
-class GenWord:
+class GenWord(Record):
     """A product of signed powers of T and U, e.g. T^2 U^-1 T^3.
 
     Normalised on construction: adjacent letters use distinct generators and
     no exponent is zero.  The empty word is the identity.
     """
 
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = ("letters",)
 
     def __init__(self, letters=()):
         merged: list[list] = []
@@ -197,9 +190,7 @@ class GenWord:
                     merged.pop()
             else:
                 merged.append([gen, exp])
-        object.__setattr__(
-            self, "letters", tuple((g, e) for g, e in merged)
-        )
+        self.letters = tuple((g, e) for g, e in merged)
 
     def evaluate(self) -> Mat2Z:
         """The ordered product of the letter matrices (exact)."""

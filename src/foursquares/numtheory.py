@@ -11,9 +11,11 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-# r4_bruteforce allocates O(n) lookup tables; cap the argument so a typo
-# cannot ask for gigabytes.
-R4_MAX_N = 10**6
+# r4_bruteforce allocates O(n) lookup tables, and the `foursquares r4`
+# subcommand around it also forms theta^4 to order n, which costs about n^2.
+# Measured for the whole subcommand on a 2-core VM: 1.5 s at n = 10^5,
+# 3.9 s (61 MB peak RSS) at 2 * 10^5 and 49 s (189 MB) at 10^6.
+R4_MAX_N = 200_000
 # Elements (int32) per block of r4_bruteforce's residuals: memory is the O(n)
 # tables plus one 1 MB block, and every n <= 1000 is a single block.
 _R4_BLOCK = 1 << 18

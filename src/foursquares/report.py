@@ -6,28 +6,47 @@ plane and/or a matrix), whether it passed, and a witness.  For
 coefficient-exact checks the witness is the first failing index together
 with the two disagreeing values; for floating-point checks it is the
 maximum observed error against the tolerance.
+
+:class:`MembershipError` lives here too, so that the command line can catch
+it without importing the group algebra, and :class:`Record`, the equality
+and hashing of the package's value types.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    identity: str
-    passed: bool
-    order: int | None = None
-    tau: complex | None = None
-    matrix: str | None = None
-    error: float | None = None
-    tol: float | None = None
-    witness: str | None = None
+class MembershipError(ValueError):
+    """A matrix was outside the congruence subgroup an operation requires."""
 
-    def __post_init__(self):
-        if not self.passed and self.witness is None and self.error is None:
+
+class Record:
+    """Equality and hashing by the values of the __slots__ fields, for the
+    package's value records (reports, matrices, words)."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class CheckReport(Record):
+    __slots__ = ("identity", "passed", "order", "tau", "matrix", "error", "tol", "witness")
+
+    def __init__(self, identity: str, passed: bool, order: int | None = None,
+                 tau: complex | None = None, matrix: str | None = None, error: float | None = None,
+                 tol: float | None = None, witness: str | None = None):
+        if not passed and witness is None and error is None:
             raise ValueError("a failing report needs a witness or an error value")
+        self.identity, self.passed, self.order, self.tau = identity, passed, order, tau
+        self.matrix, self.error, self.tol, self.witness = matrix, error, tol, witness
 
     def to_json_dict(self) -> dict:
         out: dict = {

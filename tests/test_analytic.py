@@ -29,7 +29,6 @@ from foursquares.analytic import (
     check_row_sum4,
     check_theta_transform,
     check_weight1_invariance,
-    eval_qseries,
     g_eval,
     h_eval,
     theta_eval,
@@ -41,6 +40,11 @@ TU = MAT_T * MAT_U
 
 def q_of(tau):
     return cmath.exp(2j * math.pi * tau)
+
+
+def eval_qseries(series, q):
+    """Horner evaluation of an exact series at a complex point."""
+    return analytic._horner([float(c) for c in series.coeffs], q)
 
 
 def full_shell_lattice(tau, R):
@@ -211,21 +215,39 @@ class TestRowSums:
         assert report.passed
         assert 1e-12 < report.error < report.tol < 1e-7
 
-    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, -0.4 + 0.05j, 0.02 + 0.3j])
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, -0.4 + 0.05j, 0.02 + 0.3j,
+                                     0.3 + 0.002j, 0.3 + 0.001j])
     @pytest.mark.parametrize("power, coeff", [(2, -4 * math.pi**2), (4, 8 * math.pi**4 / 3)])
     def test_rounding_bound_against_reference(self, tau, power, coeff):
         # the float difference of the two sides lies within the rounding
-        # bound of the exact difference of the same truncated sums
+        # bound of the exact difference of the same truncated sums, and the
+        # right side alone within its running bound
         mpmath = pytest.importorskip("mpmath")
         cutoff = 3000
         err, rounding = analytic._row_sum_error(tau, power, coeff, cutoff)
+        total, mu = analytic._row_sum_right(tau, power - 1)
+        terms = analytic._round_up_pow2(
+            analytic._terms_needed(abs(q_of(tau)), analytic._power_tail(power - 1)))
         with mpmath.workdps(40):
             t = mpmath.mpc(tau.real, tau.imag)
             left = mpmath.fsum((t + d) ** -power for d in range(-cutoff, cutoff + 1))
             q = mpmath.exp(2j * mpmath.pi * t)
-            right = mpmath.fsum(mpmath.mpf(m) ** (power - 1) * q**m for m in range(1, 2000))
+            right, qm = mpmath.mpc(0), mpmath.mpc(1)
+            for m in range(1, terms + 1):
+                qm *= q
+                right += m ** (power - 1) * qm
             exact = abs(left - coeff * right)
+            right_error = abs(mpmath.mpc(total.real, total.imag) - right)
         assert abs(err - exact) <= rounding
+        assert right_error <= 1.01 * 2.0**-53 * mu
+
+    @pytest.mark.parametrize("tau, a_priori", [(0.3 + 0.002j, 0.23), (0.3 + 0.001j, 7.3)])
+    def test_weight4_tolerance_near_real_axis(self, tau, a_priori):
+        # Horner's a-priori bound 4 n u |coeff| sum m^3 |q|^m gave these
+        # tolerances; the running bound is at least 100 times tighter
+        report = check_row_sum4(tau)
+        assert report.passed
+        assert report.tol < a_priori / 100
 
     @pytest.mark.parametrize("im", [0.002, 0.01, 0.1, 1.0])
     def test_weight2_rounding_below_its_tail(self, im, monkeypatch):
@@ -268,7 +290,7 @@ class TestRowSumRight:
             q = q_of(tau)
             n = analytic._round_up_pow2(analytic._terms_needed(abs(q), bound))
             scale = sum(m**weight * abs(q) ** m for m in range(1, n + 1))
-            got = analytic._row_sum_right(tau, weight)
+            got, _ = analytic._row_sum_right(tau, weight)
             assert abs(got - geometric_sum(q, weight)) <= 4 * n * u * scale
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import foursquares
 from foursquares import modgroup
-from foursquares.cli import ANALYTIC_CHECKS, run
+from foursquares.cli import ANALYTIC_CHECKS, MAX_ORDER, run
+from foursquares.numtheory import R4_MAX_N
 
 GOLDEN_DIR = "golden"
 
@@ -75,6 +76,15 @@ class TestExpand:
     def test_unknown_series(self):
         code, _, _ = invoke(["expand", "eta", "--order", "10"])
         assert code == 2
+
+    def test_order_ceiling(self):
+        code, out, _ = invoke(["expand", "phi", "--order", str(MAX_ORDER)])
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"{MAX_ORDER}: ")
+        for command, name in (("expand", "phi"), ("verify", "psi-triple")):
+            code, out, err = invoke([command, name, "--order", str(MAX_ORDER + 1)])
+            assert code == 2 and out == ""
+            assert err == f"error: order must be <= {MAX_ORDER}\n"
 
 
 class TestVerify:
@@ -212,6 +222,11 @@ class TestR4:
         code, _, _ = invoke(["r4", "--", "-5"])
         assert code == 2
 
+    def test_above_ceiling_is_usage_error(self):
+        code, out, err = invoke(["r4", str(R4_MAX_N + 1)])
+        assert code == 2 and out == ""
+        assert err == f"error: n must be <= {R4_MAX_N}\n"
+
 
 class TestReduceTau:
     def test_translation(self):
@@ -329,13 +344,25 @@ class TestExitCodeContract:
             assert code == 2
 
 
-# Runs in a fresh interpreter, so that no other test has imported numpy.
+def _fresh_python(code: str) -> str:
+    """The output of code run in a fresh interpreter, where no other test
+    has imported anything."""
+    src = str(Path(foursquares.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# The modules of names that a fresh run of the argvs loaded.
 _IMPORT_PROBE = """
 import io, sys
 from foursquares.cli import run
 for argv in {argv!r}:
     assert run(argv, out=io.StringIO()) == 0, argv
-print("numpy" in sys.modules)
+print(sorted(set({names!r}) & set(sys.modules)))
 """
 
 
@@ -354,12 +381,23 @@ _NUMPY_CHECKS = ("g4", "row-sum2", "row-sum4")
       for check in ANALYTIC_CHECKS if check not in _NUMPY_CHECKS],
 ])
 def test_numpy_imported_only_by_subcommands_that_use_it(argvs, loads_numpy):
-    src = str(Path(foursquares.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE.format(argv=argvs)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(loads_numpy)
+    loaded = _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=("numpy",)))
+    assert loaded == str(["numpy"] if loads_numpy else [])
+
+
+_NO_FORMS = ("dataclasses", "foursquares.forms", "foursquares.qseries", "fractions")
+
+
+# Each subcommand imports only the package modules it runs, and no process
+# imports dataclasses.  Only ode-solution and weight1 of the analytic checks
+# evaluate g or h, whose tables come from `forms`.
+@pytest.mark.parametrize("argvs, absent", [
+    ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"]],
+     ("dataclasses", "foursquares.modgroup")),
+    ([["reduce-tau", "5.3,2"], ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"],
+      *[["verify-analytic", c] for c in ANALYTIC_CHECKS if c not in ("ode-solution", "weight1")]],
+     _NO_FORMS),
+    ([["verify-analytic", "ode-solution"], ["verify-analytic", "weight1"]], ("dataclasses",)),
+], ids=["exact", "group-and-laws", "weight1-solutions"])
+def test_subcommands_load_only_the_modules_they_run(argvs, absent):
+    assert _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=absent)) == "[]"

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from foursquares import forms
+from foursquares import cli, forms
 from foursquares.forms import (
-    named_series,
     partition_series,
     phi_by_recursion,
     phi_by_reduction_of_order,
@@ -15,7 +14,6 @@ from foursquares.forms import (
     psi_by_partition_square,
     psi_by_recursion,
     psi_by_sigma3_recursion,
-    run_verification,
     series_L,
     series_M,
     theta,
@@ -33,6 +31,16 @@ from foursquares.numtheory import r4_bruteforce, sigma, sigma3, sigma3_table, si
 from foursquares.qseries import QSeries, parse_golden, recurrence
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+
+
+def named_series(name, order):
+    """The series `foursquares expand name --order order` prints."""
+    return cli._forms_call(cli._SERIES, name, order)
+
+
+def run_verification(name, order):
+    """The report of `foursquares verify name --order order`."""
+    return cli._forms_call(cli._VERIFIERS, name, order)
 
 
 class TestTheta:
