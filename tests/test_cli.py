@@ -366,16 +366,15 @@ print(sorted(set({names!r}) & set(sys.modules)))
 """
 
 
-# Only r4, the lattice sum and the row sums build arrays large enough to
-# need numpy; every other verify-analytic check sums in plain floats.
+# Only the lattice sum and the row sums build arrays large enough to need
+# numpy; every other verify-analytic check sums in plain floats.
 _NUMPY_CHECKS = ("g4", "row-sum2", "row-sum4")
 
 
 @pytest.mark.parametrize("argvs, loads_numpy", [
-    ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"],
+    ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"],
       ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"], ["reduce-tau", "5.3,2"]],
      False),
-    ([["r4", "10"]], True),
     *[([["verify-analytic", check]], True) for check in _NUMPY_CHECKS],
     *[([["verify-analytic", check]], False)
       for check in ANALYTIC_CHECKS if check not in _NUMPY_CHECKS],
@@ -388,12 +387,13 @@ def test_numpy_imported_only_by_subcommands_that_use_it(argvs, loads_numpy):
 _NO_FORMS = ("dataclasses", "foursquares.forms", "foursquares.qseries", "fractions")
 
 
-# Each subcommand imports only the package modules it runs, and no process
-# imports dataclasses.  Only ode-solution and weight1 of the analytic checks
-# evaluate g or h, whose tables come from `forms`.
+# Each subcommand imports only the package modules it runs, no process
+# imports dataclasses, and verify, expand and r4 import no numpy.  Only
+# ode-solution and weight1 of the analytic checks evaluate g or h, whose
+# tables come from `forms`.
 @pytest.mark.parametrize("argvs, absent", [
     ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"]],
-     ("dataclasses", "foursquares.modgroup")),
+     ("dataclasses", "foursquares.modgroup", "numpy")),
     ([["reduce-tau", "5.3,2"], ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"],
       *[["verify-analytic", c] for c in ANALYTIC_CHECKS if c not in ("ode-solution", "weight1")]],
      _NO_FORMS),

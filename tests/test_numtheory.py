@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foursquares.numtheory import (
+    R4_MAX_N,
     divisors,
     euler_quotient,
     jacobi_count,
@@ -60,6 +61,20 @@ def times_euler_product(x):
     for k in range(1, len(x)):
         out = [c - (out[n - k] if n >= k else 0) for n, c in enumerate(out)]
     return out
+
+
+def r4_by_triple_loop(n):
+    """Count quadruples by a, b, c over the full signed ranges, with d from a
+    perfect-square test on the residual."""
+    r = isqrt(n)
+    total = 0
+    for a in range(-r, r + 1):
+        for b in range(-r, r + 1):
+            for c in range(-r, r + 1):
+                rem = n - a * a - b * b - c * c
+                if rem >= 0 and isqrt(rem) ** 2 == rem:
+                    total += 1 if rem == 0 else 2
+    return total
 
 
 def r4_by_quadruple_scan(n):
@@ -169,6 +184,10 @@ class TestR4:
         for n in range(40):
             assert r4_bruteforce(n) == r4_by_quadruple_scan(n)
 
+    def test_against_triple_loop(self):
+        for n in range(301):
+            assert r4_bruteforce(n) == r4_by_triple_loop(n)
+
     def test_matches_jacobi_formula_at_desk_scale(self):
         for n in range(1, 500):
             assert r4_bruteforce(n) == jacobi_count(n)
@@ -180,17 +199,18 @@ class TestR4:
         with pytest.raises(ValueError):
             r4_bruteforce(-1)
         with pytest.raises(ValueError):
-            r4_bruteforce(10**6 + 1)
+            r4_bruteforce(R4_MAX_N + 1)
+        assert r4_bruteforce(R4_MAX_N) == jacobi_count(R4_MAX_N)
 
     def test_memory_is_linear(self):
-        # the unblocked residual array alone would be about 50 MB at n = 10^4
+        # the one table of pair counts holds n + 1 entries, about 1.6 MB here
         tracemalloc.start()
         try:
-            count = r4_bruteforce(10**4)
+            count = r4_bruteforce(R4_MAX_N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == jacobi_count(10**4)
+        assert count == jacobi_count(R4_MAX_N)
         assert peak < 16 * 2**20
 
     @settings(max_examples=300, deadline=None)
