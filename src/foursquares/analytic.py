@@ -32,12 +32,13 @@ from .report import CheckReport, MembershipError, Record
 if TYPE_CHECKING:
     from .modgroup import Mat2Z
 
-_TWO_PI = 2.0 * math.pi
 _PI = math.pi
 _U = 2.0**-53  # unit roundoff of a double
 
-# Hard ceiling on adaptive series truncation; reached only for im(tau)
-# below ~0.004, where double precision is hopeless anyway.
+# Hard ceiling on adaptive series truncation: it bounds each table's size
+# and each sum's time, not its accuracy.  The weight-1 sums reach it below
+# im(tau) ~ 0.005 but lose every digit to rounding well above that (ROADMAP
+# item 3: g_eval is off by 1.1e-7 at 0.1+0.02i and by 2.1 at 0.1+0.012i).
 _MAX_TERMS = 20_000
 
 # Default tolerances of the checks whose error is a rounding residual: laws
@@ -107,10 +108,6 @@ def _q_from_tau(tau: complex) -> complex:
     return cmath.exp(2j * _PI * tau)
 
 
-def _round_up_pow2(n: int) -> int:
-    return 1 << max(8, (n - 1).bit_length())
-
-
 @lru_cache(maxsize=None)
 def _sigma_np(limit: int) -> tuple[float, ...]:
     return tuple(map(float, sigma_table(limit)))
@@ -122,17 +119,18 @@ def _sigma3_np(limit: int) -> tuple[float, ...]:
 
 
 def _terms_needed(absq: float, log_coeff_bound) -> int:
-    """Smallest n with coeff_bound(n) * absq^n below 1e-18, or raise.
+    """The term count of every truncated sum: the smallest n in 256, 512,
+    1024, ... with coeff_bound(n) * absq^n below 1e-18, or raise.
 
     log_coeff_bound(n) must upper-bound the log of the coefficient
-    magnitude; the scan doubles n from 16, then the caller uses the bound
-    directly (overshooting is harmless, the extra terms are below rounding).
+    magnitude.  Overshooting is harmless (the extra terms are below
+    rounding), and powers of two keep each cached table at one of few sizes.
     """
     if absq >= 1.0:
         raise ValueError("im(tau) too small: |q| >= 1")
     target = math.log(1e-18)
     logq = math.log(absq) if absq > 0 else -math.inf
-    n = 16
+    n = 256
     while n <= _MAX_TERMS:
         if log_coeff_bound(n) + n * logq < target:
             return n
@@ -143,13 +141,10 @@ def _terms_needed(absq: float, log_coeff_bound) -> int:
 def _truncated_sum(tau: complex, table, log_coeff_bound) -> complex:
     """sum c_n q^n over 0 <= n <= N at q = exp(2 pi i tau), with c = table(N).
 
-    The tail bound alone sets N: the term count at which
-    exp(log_coeff_bound(n)) |q|^n falls below 1e-18 (see
-    :func:`_terms_needed`), rounded up to a power of two of at least 256, so
-    each cached table is built at one of few sizes.
+    The tail bound alone sets N (see :func:`_terms_needed`).
     """
     q = _q_from_tau(tau)
-    return _horner(table(_round_up_pow2(_terms_needed(abs(q), log_coeff_bound))), q)
+    return _horner(table(_terms_needed(abs(q), log_coeff_bound)), q)
 
 
 def _horner(coeffs, q: complex) -> complex:
@@ -287,24 +282,13 @@ def _image(m: Mat2Z, tau: complex, floor: float = 0.05) -> complex:
 
 
 def check_poisson(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
-    """Gaussian summation identity: sum exp(-2 pi t n^2) against its dual
-    at 1/(4t) scaled by 1/sqrt(2t); both sides summed to the machine tail."""
+    """Gaussian summation identity: sum exp(-2 pi t n^2) = theta(i t) against
+    its dual theta(i/(4t)) scaled by 1/sqrt(2t); both summed by
+    :func:`theta_eval` to its tail bound."""
     if t <= 0:
         raise ValueError("t must be positive")
-
-    def gauss_sum(s: float) -> float:
-        acc = 1.0
-        n = 1
-        while n <= _MAX_TERMS:
-            term = 2.0 * math.exp(-_TWO_PI * s * n * n)
-            if term < 1e-20:
-                break
-            acc += term
-            n += 1
-        return acc
-
-    lhs = gauss_sum(t)
-    rhs = gauss_sum(1.0 / (4.0 * t)) / math.sqrt(2.0 * t)
+    lhs = theta_eval(1j * t)
+    rhs = theta_eval(1j / (4.0 * t)) / math.sqrt(2.0 * t)
     return _law_report("poisson-summation", abs(lhs - rhs) / abs(rhs), cfg, witness=f"t={t:g}")
 
 
@@ -339,7 +323,7 @@ def _row_sum_right(tau: complex, weight: int) -> tuple[complex, float]:
     q = _q_from_tau(tau)
     absq = abs(q)
     acc, mu = 0j, 0.0
-    for m in range(_round_up_pow2(_terms_needed(absq, _power_tail(weight))), -1, -1):
+    for m in range(_terms_needed(absq, _power_tail(weight)), -1, -1):
         prev = abs(acc)
         acc = acc * q + float(m**weight)
         mu = absq * (mu + 3.0 * prev) + abs(acc)

@@ -15,8 +15,8 @@ Constructors for the series in play:
     partition_series   P(q) = sum p(k) q^k
 
 The verify_* functions re-derive both sides of an identity through
-independent routes and compare exactly, reporting the first failing
-coefficient index on mismatch.  Verification order defaults to 500.
+independent routes and compare them exactly through the order the caller
+gives, reporting the first failing coefficient index on mismatch.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .numtheory import (
 )
 from .qseries import QSeries, exp0, qderiv, recurrence, substitute_neg
 from .report import CheckReport
-
-DEFAULT_ORDER = 500
 
 
 def theta(order: int) -> QSeries:
@@ -180,14 +178,14 @@ def _ode_report(L: QSeries, M: QSeries, order: int) -> CheckReport:
     return _exact_report("ramanujan-ode", order, _mismatch(defect, QSeries.zero(order), order))
 
 
-def verify_ramanujan_ode(order: int = DEFAULT_ORDER) -> CheckReport:
+def verify_ramanujan_ode(order: int) -> CheckReport:
     """12 q dL/dq - L^2 + M must vanish identically to the given order."""
     if order < 1:
         raise ValueError("order must be >= 1")
     return _ode_report(series_L(order), series_M(order), order)
 
 
-def verify_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
+def verify_jacobi(order: int) -> CheckReport:
     """theta^4(q) - theta^4(-q) has coefficient 16*sigma(n) at odd n, 0 at even n."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -198,7 +196,7 @@ def verify_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
     return _exact_report("jacobi-odd-part", order, _mismatch(diff, want, order))
 
 
-def verify_lagrange(order: int = DEFAULT_ORDER) -> CheckReport:
+def verify_lagrange(order: int) -> CheckReport:
     """Every theta^4 coefficient for n >= 1 is strictly positive."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -208,7 +206,7 @@ def verify_lagrange(order: int = DEFAULT_ORDER) -> CheckReport:
                          None if n is None else f"coefficient {n}: got {t4[n]}, expected > 0")
 
 
-def verify_full_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
+def verify_full_jacobi(order: int) -> CheckReport:
     """theta^4 coefficient n equals 8 * sum of divisors of n not divisible by 4."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -217,7 +215,7 @@ def verify_full_jacobi(order: int = DEFAULT_ORDER) -> CheckReport:
     return _exact_report("full-jacobi-formula", order, _mismatch(t4, want, order))
 
 
-def verify_sigma_lambert(order: int = DEFAULT_ORDER) -> CheckReport:
+def verify_sigma_lambert(order: int) -> CheckReport:
     """sum sigma(n) q^n equals the Lambert sum of n q^n / (1 - q^n).
 
     The Lambert side is built term by term: n q^n/(1-q^n) expands as the
@@ -234,7 +232,7 @@ def verify_sigma_lambert(order: int = DEFAULT_ORDER) -> CheckReport:
     return _exact_report("sigma-lambert", order, _mismatch(QSeries(lambert), want, order))
 
 
-def verify_psi_triple(order: int = 300) -> CheckReport:
+def verify_psi_triple(order: int) -> CheckReport:
     """All constructions of psi agree, coefficients are positive integers,
     both constructions of phi agree, and the companion coefficients satisfy
     0 < a_n <= b_n throughout."""
@@ -259,7 +257,7 @@ def verify_psi_triple(order: int = 300) -> CheckReport:
     return _exact_report("psi-triple", order)
 
 
-def verify_final_proportionality(order: int = DEFAULT_ORDER) -> CheckReport:
+def verify_final_proportionality(order: int) -> CheckReport:
     """theta^4(q) - theta^4(-q) is a constant multiple of L(q) - L(-q).
 
     The constant is computed from the leading nonzero coefficients, never

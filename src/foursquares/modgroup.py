@@ -58,10 +58,6 @@ class Mat2Z(Record):
     def inv(self) -> "Mat2Z":
         return Mat2Z(self.d, -self.b, -self.c, self.a)
 
-    def __neg__(self) -> "Mat2Z":
-        # -Id has determinant 1, so negation stays in the group.
-        return Mat2Z(-self.a, -self.b, -self.c, -self.d)
-
     def __pow__(self, k: int) -> "Mat2Z":
         if k < 0:
             return self.inv() ** (-k)
@@ -126,13 +122,15 @@ def in_gamma0_4(m: Mat2Z) -> bool:
     return m.c % 4 == 0
 
 
+def _sl2_z4() -> list[tuple[int, int, int, int]]:
+    """The matrices (a, b, c, d) over the integers mod 4 with determinant 1 mod 4."""
+    return [(a, b, c, d) for a, b, c, d in product(range(4), repeat=4)
+            if (a * d - b * c) % 4 == 1]
+
+
 def count_sl2_z4() -> int:
-    """Number of 2x2 matrices over the integers mod 4 with determinant 1 mod 4."""
-    return sum(
-        1
-        for a, b, c, d in product(range(4), repeat=4)
-        if (a * d - b * c) % 4 == 1
-    )
+    """The order of SL(2, Z_4)."""
+    return len(_sl2_z4())
 
 
 def congruence_indices() -> dict[str, int]:
@@ -142,17 +140,10 @@ def congruence_indices() -> dict[str, int]:
     equals the order of SL(2, Z_4); the other indices divide it by the sizes
     of the corresponding residue subgroups.
     """
-    order = count_sl2_z4()
-    gamma1_image = sum(
-        1
-        for a, b, c, d in product(range(4), repeat=4)
-        if (a * d - b * c) % 4 == 1 and a == 1 and d == 1 and c == 0
-    )
-    gamma0_image = sum(
-        1
-        for a, b, c, d in product(range(4), repeat=4)
-        if (a * d - b * c) % 4 == 1 and c == 0
-    )
+    group = _sl2_z4()
+    order = len(group)
+    gamma1_image = sum(1 for a, _, c, d in group if a == d == 1 and c == 0)
+    gamma0_image = sum(1 for _, _, c, _ in group if c == 0)
     return {
         "sl2_z4_order": order,
         "gamma4_index": order,

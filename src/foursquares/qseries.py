@@ -7,17 +7,15 @@ fmpq_poly).  Every operation is exact and runs on ints; a coefficient reads
 back as an int when that denominator is 1, else as a Fraction.  Values are
 immutable and all operations are pure functions, safe to share across threads.
 
-Arithmetic on two series of orders N1, N2 truncates to min(N1, N2).  The
-one refinement: multiplying by a pure power c*q^k (a series with a single
-nonzero coefficient) treats that factor as exact and shifts the other
-factor's order up by k, so q * (series of order N) is known through q^(N+1).
+Arithmetic on two series of orders N1, N2 truncates to min(N1, N2): each
+factor is known only through its own order, as in fmpq_poly's truncated
+products.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import re
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -89,13 +87,6 @@ class QSeries:
     def one(cls, order: int) -> "QSeries":
         return cls([1], order=order)
 
-    @classmethod
-    def monomial(cls, coeff: Scalar, degree: int, order: int | None = None) -> "QSeries":
-        """The series coeff*q^degree, by default of order exactly `degree`."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        return cls([0] * degree + [coeff], order=order)
-
     def __getitem__(self, n: int) -> Scalar:
         return self._num[n] if self._den == 1 else self.coeffs[n]
 
@@ -113,16 +104,6 @@ class QSeries:
     def truncated(self, order: int) -> "QSeries":
         """This series rewritten to the given (possibly larger) order."""
         return self if order == self.order else QSeries(self.coeffs, order=order)
-
-    def _monomial_degree(self) -> int | None:
-        """Degree k if the series is exactly c*q^k with c != 0, else None."""
-        deg = None
-        for n, c in enumerate(self._num):
-            if c:
-                if deg is not None:
-                    return None
-                deg = n
-        return deg
 
     # ---------------------------------------------------------------- ring ops
 
@@ -149,17 +130,8 @@ class QSeries:
                                self._den * other.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
-        ka = self._monomial_degree()
-        kb = other._monomial_degree()
-        if ka is not None and kb is not None:
-            out_order = min(self.order + kb, other.order + ka)
-        elif ka is not None:
-            out_order = other.order + ka
-        elif kb is not None:
-            out_order = self.order + kb
-        else:
-            out_order = min(self.order, other.order)
-        return QSeries._of(_convolve(self._num, other._num, out_order), self._den * other._den)
+        return QSeries._of(_convolve(self._num, other._num, min(self.order, other.order)),
+                           self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> "QSeries":
         return self.__mul__(other)
@@ -235,19 +207,6 @@ def qderiv(a: QSeries) -> QSeries:
     return QSeries._of(list(map(operator.mul, range(len(a)), a._num)), a._den)
 
 
-def log1(a: QSeries) -> QSeries:
-    """Formal logarithm of a series with constant term exactly 1.
-
-    Uses qderiv(log a) = qderiv(a)/a: the inverse 1/a solves x_0 = 1,
-    x_n = -sum_{k=1}^{n} a_k x_{n-k}, and log(a) integrates qderiv(a) * (1/a).
-    """
-    if a[0] != 1:
-        raise ValueError("log1 requires constant term exactly 1")
-    inverse = recurrence([-c for c in a.coeffs], lambda n: 1, a.order)
-    v = qderiv(a) * inverse
-    return QSeries([0] + [Fraction(v[m], m) for m in range(1, a.order + 1)])
-
-
 def exp0(a: QSeries) -> QSeries:
     """Formal exponential of a series with constant term exactly 0.
 
@@ -306,7 +265,7 @@ def substitute_neg(a: QSeries) -> QSeries:
 # ------------------------------------------------------------------ text forms
 #
 # Display format: "c0 + c1*q + c2*q^2 + ..." with every coefficient printed
-# (zeros included, so the truncation order round-trips) and rationals as
+# (zeros included, so the text shows the truncation order) and rationals as
 # "p/q".  Negative coefficients render with a " - " separator.
 
 def format_series(a: QSeries) -> str:
@@ -320,41 +279,6 @@ def format_series(a: QSeries) -> str:
         term = f"{mag}*q" if n == 1 else f"{mag}*q^{n}"
         parts.append(sep + term)
     return "".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?P<coeff>\d+(?:/\d+)?)
-        (?:\*q(?:\^(?P<exp>\d+))?)?\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_series(text: str) -> QSeries:
-    """Parse the format produced by :func:`format_series`."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty series text")
-    coeffs: dict[int, Fraction] = {}
-    pos = 0
-    top = -1
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"malformed series at: {text[pos:pos + 20]!r}")
-        value = Fraction(m.group("coeff"))
-        if m.group("sign") == "-":
-            value = -value
-        if "*q" in m.group(0):
-            n = int(m.group("exp") or 1)
-        else:
-            n = 0
-        if n in coeffs:
-            raise ValueError(f"duplicate coefficient for q^{n}")
-        coeffs[n] = value
-        top = max(top, n)
-        pos = m.end()
-    return QSeries([coeffs.get(n, 0) for n in range(top + 1)])
 
 
 def format_golden(a: QSeries) -> str:

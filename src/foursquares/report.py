@@ -14,8 +14,6 @@ and hashing of the package's value types.
 
 from __future__ import annotations
 
-import json
-
 
 class MembershipError(ValueError):
     """A matrix was outside the congruence subgroup an operation requires."""
@@ -62,9 +60,6 @@ class CheckReport(Record):
         if self.witness is not None:
             out["witness"] = self.witness
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def describe(self) -> str:
         """One human-readable line, stable enough for CI logs."""

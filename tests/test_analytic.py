@@ -182,6 +182,12 @@ class TestPoisson:
         with pytest.raises(ValueError):
             check_poisson(0.0)
 
+    def test_raises_where_the_sum_cannot_reach_its_tail(self):
+        # at t = 1e-9, 2 exp(-2 pi t n^2) reaches rounding level only near
+        # n = 8e4, past the term cap: a sum cut at the cap is not the sum
+        with pytest.raises(ValueError, match="too small"):
+            check_poisson(1e-9)
+
 
 class TestThetaTransform:
     @pytest.mark.parametrize("tau", [0.5j, 0.3 + 0.7j, 2j])
@@ -226,8 +232,7 @@ class TestRowSums:
         cutoff = 3000
         err, rounding = analytic._row_sum_error(tau, power, coeff, cutoff)
         total, mu = analytic._row_sum_right(tau, power - 1)
-        terms = analytic._round_up_pow2(
-            analytic._terms_needed(abs(q_of(tau)), analytic._power_tail(power - 1)))
+        terms = analytic._terms_needed(abs(q_of(tau)), analytic._power_tail(power - 1))
         with mpmath.workdps(40):
             t = mpmath.mpc(tau.real, tau.imag)
             left = mpmath.fsum((t + d) ** -power for d in range(-cutoff, cutoff + 1))
@@ -288,7 +293,7 @@ class TestRowSumRight:
         for _ in range(24):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3.0))
             q = q_of(tau)
-            n = analytic._round_up_pow2(analytic._terms_needed(abs(q), bound))
+            n = analytic._terms_needed(abs(q), bound)
             scale = sum(m**weight * abs(q) ** m for m in range(1, n + 1))
             got, _ = analytic._row_sum_right(tau, weight)
             assert abs(got - geometric_sum(q, weight)) <= 4 * n * u * scale

@@ -142,7 +142,7 @@ class TestPsiPhi:
         real = forms.phi_by_reduction_of_order
 
         def bumped(order):
-            return real(order) + QSeries.monomial(1, 7, order)
+            return real(order) + QSeries([0] * 7 + [1], order=order)
 
         monkeypatch.setattr(forms, "phi_by_reduction_of_order", bumped)
         report = verify_psi_triple(20)
@@ -254,8 +254,8 @@ class TestFailureWitnesses:
     @staticmethod
     def _bump(monkeypatch, name, coeff, degree):
         real = getattr(forms, name)
-        monkeypatch.setattr(forms, name,
-                            lambda order: real(order) + QSeries.monomial(coeff, degree, order))
+        monkeypatch.setattr(forms, name, lambda order: real(order)
+                            + QSeries([0] * degree + [coeff], order=order))
 
     def _failure(self, verifier, order):
         report = verifier(order)
@@ -289,7 +289,7 @@ class TestFailureWitnesses:
                 == f"exp-construction coefficient 4: got {b[4] + 1}, expected {b[4]}")
 
     def test_proportionality_vanishing_right_side(self, monkeypatch):
-        monkeypatch.setattr(forms, "series_L", lambda order: QSeries.monomial(1, 0, order))
+        monkeypatch.setattr(forms, "series_L", lambda order: QSeries([1], order=order))
         assert (self._failure(verify_final_proportionality, 30)
                 == "right side vanishes identically; no constant to derive")
 
