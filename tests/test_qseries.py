@@ -87,11 +87,20 @@ class TestMul:
         got = p * p
         assert [int(c) for c in got.coeffs] == [1, 2, 5, 10, 20, 36, 65]
 
-    def test_single_term_factor_truncates_to_min_order(self):
-        # c q^k is known only through its own order, like any other factor
+    def test_monomial_shifts_order(self):
+        # multiplying by q shifts the coefficients up one place; c q^k is
+        # known only through its own order, like any other factor, so the
+        # product stops at the smaller order
         a = QSeries([1, 2, 3])
+        got = QSeries([0, 1], order=5) * a
+        assert got.order == 2
+        assert [int(c) for c in got.coeffs] == [0, 1, 2]
         assert QSeries([0, 1]) * a == QSeries([0, 1])
-        assert a * QSeries([0, 1], order=5) == QSeries([0, 1, 2])
+
+    def test_two_monomials(self):
+        got = QSeries([0, 2], order=3) * QSeries([0, 0, 3], order=3)
+        assert got.order == 3
+        assert got[3] == 6
         assert QSeries([0, 2]) * QSeries([0, 0, 3]) == QSeries.zero(1)
 
 
