@@ -14,9 +14,9 @@ the cusp sweep works closer to the real axis and relies on the adaptive
 term count.
 
 Truncated q-series are summed by Horner's rule in plain floats (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 5); only the routines
-that build arrays of 10^5 or more elements, :func:`G4_lattice` and the row
-sums, import numpy.
+*Accuracy and Stability of Numerical Algorithms*, ch. 5), and the row sums
+stream their terms through blocks summed exactly rounded by math.fsum;
+only :func:`G4_lattice`, which builds its shells as arrays, imports numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache, partial
+from operator import add, attrgetter
 from typing import TYPE_CHECKING
 
 from .numtheory import sigma3_table, sigma_table
@@ -63,10 +64,13 @@ CUSP_MODULUS_BOUND = 1e3
 CUSP_CONTROL_THRESHOLD = 1e-3
 
 # Ceilings on the cutoffs that set a check's cost, measured on a 2-core VM:
-# G4_lattice takes time ~R^2 (4.6 s at R = 10^4) and _row_sum_left holds
-# about 53 bytes per d (243 MB peak RSS at D = 4 * 10^6).
+# G4_lattice takes time ~R^2 (4.6 s at R = 10^4) and _row_sum_left time ~D
+# (about 3 s at D = 4 * 10^6) in memory that does not grow with D.
 MAX_LATTICE_RADIUS = 10_000
 MAX_ROW_CUTOFF = 4_000_000
+
+# Values of d per block of _row_sum_left: its memory is O(_ROW_BLOCK).
+_ROW_BLOCK = 4096
 
 class EvalConfig(Record):
     """What the checks may vary: lattice cutoff R, row-sum cutoff D, and an
@@ -300,11 +304,27 @@ def check_theta_transform(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Che
     return _law_report("theta-transformation", abs(lhs - rhs) / abs(rhs), cfg, tau=tau)
 
 
-def _row_sum_left(tau: complex, power: int, cutoff: int) -> complex:
-    import numpy as np
-    d = np.arange(1, cutoff + 1)
-    pair = (tau + d) ** -power + (tau - d) ** -power
-    return complex(tau**-power + np.sum(pair))
+def _row_sum_left(tau: complex, power: int, cutoff: int) -> tuple[complex, float]:
+    """sum over |d| <= cutoff of (tau+d)^-power, and the sum of the moduli
+    of its computed terms, in one pass over blocks of _ROW_BLOCK values of d.
+
+    A block adds each pair (tau+d)^-power + (tau-d)^-power, and math.fsum
+    sums the real and the imaginary parts of its pairs, each exactly rounded
+    (Shewchuk, DCG 18, 1997); a last fsum adds the block partials and
+    tau^-power.  Only one block's terms are held at a time.
+    """
+    fsum, real, imag = math.fsum, attrgetter("real"), attrgetter("imag")
+    head = tau**-power
+    re, im, moduli = [head.real], [head.imag], abs(head)
+    for lo in range(1, cutoff + 1, _ROW_BLOCK):
+        ds = range(lo, min(lo + _ROW_BLOCK, cutoff + 1))
+        plus = [(tau + d) ** -power for d in ds]
+        minus = [(tau - d) ** -power for d in ds]
+        moduli += sum(map(abs, plus)) + sum(map(abs, minus))
+        pair = list(map(add, plus, minus))
+        re.append(fsum(map(real, pair)))
+        im.append(fsum(map(imag, pair)))
+    return complex(fsum(re), fsum(im)), moduli
 
 
 def _power_tail(weight: int):
@@ -336,21 +356,20 @@ def _row_sum_error(tau: complex, power: int, coeff: float,
     and a bound on the rounding of both sides (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed.).
 
-    Left, pairwise summation (§4.2): np.sum adds pairwise down to blocks of
-    128 summed in 8 interleaved runs; with the pairs, d = 0 and 4 power
-    roundings to form a term, u has the factor log2(cutoff) + 18 + 4 power,
-    times sum |tau+d|^-power <= peak y^-power + integral c y^(1-power),
-    y = im(tau).  Right, |coeff| mu from :func:`_row_sum_right`, times 1.01
-    for its 1 + O(n u), plus u |coeff S| each for the product by coeff and
-    for the difference of the sides.
+    Left, the summation of :func:`_row_sum_left`, with A the sum of |t|
+    over its computed terms t: forming a term takes about 4 power roundings,
+    adding a pair 1, each block partial 1 and the final fsum 1 (fsum rounds
+    a real and an imaginary part once each, a complex error of at most u
+    times the modulus), so the left side is off by at most (4 power + 4) u A;
+    the spare unit covers the second-order terms.  Right, |coeff| mu from
+    :func:`_row_sum_right`, times 1.01 for its 1 + O(n u), plus u |coeff S|
+    each for the product by coeff and for the difference of the sides.
     """
-    y = tau.imag
-    c = math.sqrt(_PI) * math.gamma((power - 1) / 2) / math.gamma(power / 2)
-    left = (math.ceil(math.log2(cutoff)) + 18 + 4 * power) * (y**-power + c * y ** (1 - power))
+    left, moduli = _row_sum_left(tau, power, cutoff)
     total, mu = _row_sum_right(tau, power - 1)
     right = abs(coeff) * (1.01 * mu + 2.0 * abs(total))
-    err = abs(_row_sum_left(tau, power, cutoff) - coeff * total)
-    return err, _U * (left + right)
+    err = abs(left - coeff * total)
+    return err, _U * ((4 * power + 4) * moduli + right)
 
 
 def check_row_sum2(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:

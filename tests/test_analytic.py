@@ -4,6 +4,7 @@ stated preconditions actually reject what they claim to."""
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,10 +257,44 @@ class TestRowSums:
 
     @pytest.mark.parametrize("im", [0.002, 0.01, 0.1, 1.0])
     def test_weight2_rounding_below_its_tail(self, im, monkeypatch):
-        # the rounding bound never reads the left sum, so skip building it
-        monkeypatch.setattr(analytic, "_row_sum_left", lambda tau, power, cutoff: 0j)
+        # the rounding bound reads only the left side's sum of moduli, so in
+        # place of building it at MAX_ROW_CUTOFF take that sum's majorant
+        monkeypatch.setattr(analytic, "_row_sum_left",
+                            lambda tau, power, cutoff: (0j, moduli_majorant(tau, power)))
         _, rounding = analytic._row_sum_error(0.3 + 1j * im, 2, -4 * math.pi**2, MAX_ROW_CUTOFF)
         assert rounding < 2.0 / MAX_ROW_CUTOFF
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, 0.3 + 0.002j])
+    @pytest.mark.parametrize("power", [2, 4])
+    def test_left_moduli_below_their_majorant(self, tau, power):
+        _, moduli = analytic._row_sum_left(tau, power, 50_000)
+        assert moduli <= moduli_majorant(tau, power)
+
+    @pytest.mark.parametrize("cutoff", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("power", [2, 4])
+    def test_left_side_matches_the_array_sum(self, cutoff, power):
+        # the numpy pass the streamed blocks replaced, as an oracle across
+        # block edges: the two differ by at most the sum of their rounding
+        # bounds, (4 power + 4) u and, summed pairwise, about
+        # (log2(cutoff) + 18 + 4 power) u, times the sum of moduli
+        tau = 0.3 + 1.1j
+        d = np.arange(1, cutoff + 1)
+        oracle = complex(tau**-power + np.sum((tau + d) ** -power + (tau - d) ** -power))
+        got, moduli = analytic._row_sum_left(tau, power, cutoff)
+        factor = 8 * power + 22 + math.log2(cutoff)
+        assert abs(got - oracle) <= factor * 2.0**-53 * moduli
+
+    def test_left_side_memory_is_flat(self):
+        # the left side streams its terms through fixed-size blocks, so its
+        # peak is one block's, about 0.7 MB, at any cutoff; these 10^5
+        # terms held at once would take 5.6 MB
+        tracemalloc.start()
+        try:
+            analytic._row_sum_left(0.3 + 1.1j, 4, 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_single_term_regime(self):
         # far up the cylinder the right side is one geometric term
@@ -269,6 +304,14 @@ class TestRowSums:
         report = check_row_sum2(tau, EvalConfig(row_cutoff=50_000))
         assert report.passed
         assert abs(rhs) < 1e-25  # the identity is all tail here
+
+
+def moduli_majorant(tau, power):
+    """sum over all d of |tau+d|^-power <= its peak y^-power plus its
+    integral c y^(1-power), y = im(tau), at every cutoff."""
+    y = tau.imag
+    c = math.sqrt(math.pi) * math.gamma((power - 1) / 2) / math.gamma(power / 2)
+    return y**-power + c * y ** (1 - power)
 
 
 def geometric_sum(q, weight):
