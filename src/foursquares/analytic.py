@@ -4,8 +4,9 @@ of the transformation laws.
 Every function here evaluates q-series at q = exp(2 pi i tau) in double
 precision, with truncation points chosen from explicit tail bounds, and
 compares two independently computed sides of an identity.  Summation
-orders are fixed (increasing |n|, increasing max(|c|,|d|) shells), so every
-reported error is deterministic for a given configuration and point.
+orders are fixed (increasing |n|; lattice rows by increasing |c|, added
+exactly rounded), so every reported error is deterministic for a given
+configuration and point.
 
 Series evaluation needs |q| bounded away from 1.  Checks that move points
 with a group element reject configurations whose image drops below the
@@ -14,9 +15,10 @@ the cusp sweep works closer to the real axis and relies on the adaptive
 term count.
 
 Truncated q-series are summed by Horner's rule in plain floats (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 5), and the row sums
-stream their terms through blocks summed exactly rounded by math.fsum;
-only :func:`G4_lattice`, which builds its shells as arrays, imports numpy.
+*Accuracy and Stability of Numerical Algorithms*, ch. 5).  A lattice row
+sums (tau+d)^-k over a window of d and both tails past it by the
+Euler-Maclaurin formula, so the row sums and :func:`G4_lattice` need no
+cutoff in d and carry error bounds at rounding level.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache, partial
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .numtheory import sigma3_table, sigma_table
@@ -35,6 +37,7 @@ if TYPE_CHECKING:
 
 _PI = math.pi
 _U = 2.0**-53  # unit roundoff of a double
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 # Hard ceiling on adaptive series truncation: it bounds each table's size
 # and each sum's time, not its accuracy.  The weight-1 sums reach it below
@@ -44,12 +47,11 @@ _MAX_TERMS = 20_000
 
 # Default tolerances of the checks whose error is a rounding residual: laws
 # sit at 1e-8 or better (double precision, |q| <= exp(-2 pi * 0.05) worst
-# case).  The row sums take theirs from tail and rounding bounds at call
-# time.  See each check for the trace.
+# case).  The row sums and the lattice sum take theirs from remainder, tail
+# and rounding bounds at call time.  See each check for the trace.
 TOLERANCES = {
     "poisson-summation": 1e-13,
     "theta-transformation": 1e-10,
-    "g4-lattice-vs-series": 1e-5,
     "g4-weight4-law": 1e-10,
     "quasimodular-law": 1e-8,
     "xi-invariance": 1e-8,
@@ -63,37 +65,48 @@ TOLERANCES = {
 CUSP_MODULUS_BOUND = 1e3
 CUSP_CONTROL_THRESHOLD = 1e-3
 
-# Ceilings on the cutoffs that set a check's cost, measured on a 2-core VM:
-# G4_lattice takes time ~R^2 (4.6 s at R = 10^4) and _row_sum_left time ~D
-# (about 3 s at D = 4 * 10^6) in memory that does not grow with D.
+# Ceiling on the lattice radius R, the one cutoff that sets a check's cost:
+# G4_lattice takes time linear in R in the memory of one row.  On a 2-core
+# VM (Python 3.11.7), R = 10^4 took 0.12 s at 0.3+1.1i and 0.27 s at
+# 0.001+0.001i, where every row takes the wide window.
 MAX_LATTICE_RADIUS = 10_000
-MAX_ROW_CUTOFF = 4_000_000
 
-# Values of d per block of _row_sum_left: its memory is O(_ROW_BLOCK).
-_ROW_BLOCK = 4096
+# Half-widths of the windows of d that rows sum term by term, before the
+# Euler-Maclaurin tails (see _row_sum_left).  A lattice row of im Y rounds
+# by at least 16 u (1/4 + Y^2)^-2; its remainder stays under 1% of that at
+# window 16 for Y < 32 and at window 0 from Y = 32 on (where it falls ~Y^-19).
+_ROW_WINDOW, _LATTICE_WINDOW, _NARROW_ROW_HEIGHT = 48, 16, 32.0
+
+# Per even power k, _row_sum_left's tail coefficients beta_r =
+# B_2r (k)_(2r-1) / (2r)!, r = 1..8, (k)_r the rising factorial, and its
+# remainder constant 2 |B_16| (k)_16 / (16! (k + 15)), rounded once from ints.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_TAILS = {k: ([num * math.prod(range(k, k + 2 * r - 1)) / (den * math.factorial(2 * r))
+               for r, (num, den) in enumerate(_BERNOULLI, 1)],
+              2 * 3617 * math.prod(range(k, k + 16)) / (510 * math.factorial(16) * (k + 15)))
+          for k in (2, 4)}
+
 
 class EvalConfig(Record):
-    """What the checks may vary: lattice cutoff R, row-sum cutoff D, and an
-    optional tolerance override (None = per-check default).
+    """What the checks may vary: lattice cutoff R and an optional tolerance
+    override (None = per-check default).
 
     Series term counts are not configurable: each comes from its tail bound
-    (see :func:`_truncated_sum` and :func:`theta_eval`), so tol changes
+    (see :func:`_truncated_sum` and :func:`theta_eval`), and the row sums
+    have no cutoff in d (see :func:`_row_sum_left`), so tol changes
     verdicts only, never a computed value.
     """
 
-    __slots__ = ("lattice_radius", "row_cutoff", "tol")
+    __slots__ = ("lattice_radius", "tol")
 
-    def __init__(self, lattice_radius: int = 3000, row_cutoff: int = 200_000,
-                 tol: float | None = None):
-        for field, value, ceiling in (("lattice_radius", lattice_radius, MAX_LATTICE_RADIUS),
-                                      ("row_cutoff", row_cutoff, MAX_ROW_CUTOFF)):
-            if value <= 0:
-                raise ValueError(f"{field} must be positive")
-            if value > ceiling:
-                raise ValueError(f"{field} must be <= {ceiling}")
+    def __init__(self, lattice_radius: int = 3000, tol: float | None = None):
+        if lattice_radius <= 0:
+            raise ValueError("lattice_radius must be positive")
+        if lattice_radius > MAX_LATTICE_RADIUS:
+            raise ValueError(f"lattice_radius must be <= {MAX_LATTICE_RADIUS}")
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be positive and finite (got {tol})")
-        self.lattice_radius, self.row_cutoff, self.tol = lattice_radius, row_cutoff, tol
+        self.lattice_radius, self.tol = lattice_radius, tol
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -199,12 +212,14 @@ def L_eval(tau: complex) -> complex:
     )
 
 
+def _sigma3_tail(m: int) -> float:
+    return math.log(300.0) + 3.0 * math.log(m)  # log of 300 m^3 >= 240 sigma3(m)
+
+
 def M_eval(tau: complex) -> complex:
     """1 + 240 sum sigma3(n) q^n; tail bound 300 n^3 |q|^n."""
     tau = _require_uhp(tau)
-    return 1.0 + 240.0 * _truncated_sum(
-        tau, _sigma3_np, lambda m: math.log(300.0) + 3.0 * math.log(m)
-    )
+    return 1.0 + 240.0 * _truncated_sum(tau, _sigma3_np, _sigma3_tail)
 
 
 @lru_cache(maxsize=None)
@@ -237,25 +252,34 @@ def h_eval(tau: complex) -> complex:
     return cmath.exp(1j * _PI * tau / 6.0) * _truncated_sum(tau, _phi_np, _weight1_bound)
 
 
-def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """The weight-4 lattice sum over 0 < max(|c|,|d|) <= R, shell by shell.
+def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
+    """The weight-4 lattice sum over the rows |c| <= R, and a bound on its
+    distance from the sum over all (c, d) != (0, 0).
 
-    The summand (c tau + d)^-4 is even in (c, d), and (-z)^-4 == z^-4
-    exactly in floating point, so each square shell max(|c|,|d|) = r
-    contributes the 4r points of its top edge (c = r, |d| <= r) and right
-    edge (d = r, |c| < r); shells are accumulated with increasing r and the
-    total is doubled.
+    Rows c and -c agree and row 0 is 2 zeta(4), so the sum is
+    pi^4/45 + 2 sum_(c=1..R) row(c tau), each row by :func:`_row_sum_left`
+    at c tau - round(c re tau), formed in ints from re(tau)'s exact ratio
+    and rounded once.  The bound adds the omitted rows, traced without the
+    row identity under test: with Y = |c| y, y = im(tau), sum_d
+    |c tau + d|^-4 is at most the integral pi/(2 Y^3) of its unimodal
+    summand plus its peak Y^-4, which the integral over |c| > R sums to
+    pi/(2 R^2 y^3) + 2/(3 R^3 y^4).  It adds twice the rows' bounds, 8u of
+    pi^4/90 and sqrt(2) u of the total for the last fsum.
     """
-    import numpy as np
     tau = _require_uhp(tau)
-    total = 0j
-    for r in range(1, cfg.lattice_radius + 1):
-        d = np.arange(-r, r + 1)
-        w = np.reciprocal(np.concatenate((r * tau + d, d[1:-1] * tau + r)))
-        w *= w
-        w *= w
-        total += w.sum()
-    return complex(2.0 * total)
+    radius, y = cfg.lattice_radius, tau.imag
+    num, den = tau.real.as_integer_ratio()
+    rows, bound = [], 0.0
+    for c in range(1, radius + 1):
+        window = _LATTICE_WINDOW if c * y < _NARROW_ROW_HEIGHT else 0
+        t = complex(((2 * c * num + den) % (2 * den) - den) / (2 * den), c * y)
+        row, err = _row_sum_left(t, 4, window)
+        rows.append(row)
+        bound += err
+    zeta4 = _PI**4 / 90.0
+    total = 2.0 * complex(math.fsum([zeta4, *map(_REAL, rows)]), math.fsum(map(_IMAG, rows)))
+    omitted = _PI / (2.0 * radius**2 * y**3) + 2.0 / (3.0 * radius**3 * y**4)
+    return total, omitted + 2.0 * (bound + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
 
 
 def G4_series(tau: complex) -> complex:
@@ -304,110 +328,114 @@ def check_theta_transform(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Che
     return _law_report("theta-transformation", abs(lhs - rhs) / abs(rhs), cfg, tau=tau)
 
 
-def _row_sum_left(tau: complex, power: int, cutoff: int) -> tuple[complex, float]:
-    """sum over |d| <= cutoff of (tau+d)^-power, and the sum of the moduli
-    of its computed terms, in one pass over blocks of _ROW_BLOCK values of d.
-
-    A block adds each pair (tau+d)^-power + (tau-d)^-power, and math.fsum
-    sums the real and the imaginary parts of its pairs, each exactly rounded
-    (Shewchuk, DCG 18, 1997); a last fsum adds the block partials and
-    tau^-power.  Only one block's terms are held at a time.
+def _row_sum_left(tau: complex, power: int, window: int = _ROW_WINDOW) -> tuple[complex, float]:
+    """The row sum over all d of (tau+d)^-k, k = power even, and a bound
+    on its error.  It is 1-periodic, so it is taken at t = tau - round(re
+    tau) (exact, by Sterbenz's lemma); math.fsum adds the terms with
+    |d| <= window and both tails sum_(j>=0) (z + j)^-k, z = a +- t,
+    a = window + 1.  By DLMF 2.10.1 with 8 Bernoulli terms and
+    f^(r)(x) = (-1)^r (k)_r (z + x)^(-k-r), a tail is w^(k-1) (1/(k-1) +
+    w/2 + sum_r beta_r w^2r), w = 1/z, off by at most |B_16|/16! int |f^(16)|
+    (|B~_16(x)| <= |B_16|, DLMF §24.9).  As |z + x| >= x + a - 1/2 and
+    >= (x + a - 1/2 + im t)/sqrt(2), that is _TAILS' constant times
+    min((a - 1/2)^(1-p), 2^(p/2) (a - 1/2 + im t)^(1-p)) for both tails,
+    p = k + 16: about 1e-29 at k = 4, a = 49.  Rounding, to first order in
+    u, with A and B the moduli of the window's and the tails' terms, is
+    u ((4k + 8) A + 260 B): t + d is off by 2u relative at most, the power
+    by log2 k complex products (2 sqrt(2) u each) and CPython's reciprocal
+    (5u), under (4k + 6) u a term; a tail by under 256 u B (w by 7u; powers
+    and Horner steps add less); fsum rounds each part once, sqrt(2) u (A+B).
     """
-    fsum, real, imag = math.fsum, attrgetter("real"), attrgetter("imag")
-    head = tau**-power
-    re, im, moduli = [head.real], [head.imag], abs(head)
-    for lo in range(1, cutoff + 1, _ROW_BLOCK):
-        ds = range(lo, min(lo + _ROW_BLOCK, cutoff + 1))
-        plus = [(tau + d) ** -power for d in ds]
-        minus = [(tau - d) ** -power for d in ds]
-        moduli += sum(map(abs, plus)) + sum(map(abs, minus))
-        pair = list(map(add, plus, minus))
-        re.append(fsum(map(real, pair)))
-        im.append(fsum(map(imag, pair)))
-    return complex(fsum(re), fsum(im)), moduli
+    betas, remainder = _TAILS[power]
+    t = tau - round(tau.real)
+    terms = [(t + d) ** -power for d in range(-window, window + 1)]
+    a, moduli = window + 1, (4 * power + 8) * sum(map(abs, terms))
+    for z in (a + t, a - t):
+        w = 1.0 / z
+        w2, aw = w * w, abs(w)
+        poly, major = 0j, 0.0
+        for beta in reversed(betas):
+            poly = poly * w2 + beta
+            major = major * aw * aw + abs(beta)
+        terms.append(w ** (power - 1) * (1.0 / (power - 1) + w * (0.5 + w * poly)))
+        moduli += 260 * aw ** (power - 1) * (1.0 / (power - 1) + aw * (0.5 + aw * major))
+    value = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+    p = power + 16
+    remainder *= min((a - 0.5) ** (1 - p), 2.0 ** (p / 2) * (a - 0.5 + t.imag) ** (1 - p))
+    return value, remainder + _U * moduli
 
 
-def _power_tail(weight: int):
-    """log of the coefficient bound m^weight of sum m^weight q^m."""
-    return lambda m: weight * math.log(m)
-
-
-def _row_sum_right(tau: complex, weight: int) -> tuple[complex, float]:
-    """sum m^weight q^m, truncated by its tail bound m^weight |q|^m (bit for
-    bit the value of :func:`_truncated_sum`), and mu, a bound on its rounding
+def _row_sum_right(tau: complex, weight: int) -> tuple[complex, float, float]:
+    """sum m^weight q^m at q(tau - round(re tau)), free of the phase error
+    of a large re(tau), to its tail bound m^weight |q|^m; mu, a bound on its rounding
     error in units of u, from the same Horner pass (Higham §5.1, Algorithm
     5.1, made complex): y q rounds by at most sqrt(2) gamma_2 |y q| <= 3u |y q|
     (§3.6) and adding the real c by u |y q + c|, so the error of y_k is at
-    most u mu_k, mu_k = |q| (mu_(k+1) + 3 |y_(k+1)|) + |y_k|, to 1 + O(n u).
+    most u mu_k, mu_k = |q| (mu_(k+1) + 3 |y_(k+1)|) + |y_k|, to 1 + O(n u);
+    and the tail bound sum_(m>N) m^weight |q|^m <= (N+1)^weight |q|^(N+1)
+    / (1 - r), r = ((N+2)/(N+1))^weight |q| < 1 by N's tail criterion.
     """
-    q = _q_from_tau(tau)
+    q = _q_from_tau(tau - round(tau.real))
     absq = abs(q)
+    n = _terms_needed(absq, lambda m: weight * math.log(m))
     acc, mu = 0j, 0.0
-    for m in range(_terms_needed(absq, _power_tail(weight)), -1, -1):
+    for m in range(n, -1, -1):
         prev = abs(acc)
         acc = acc * q + float(m**weight)
         mu = absq * (mu + 3.0 * prev) + abs(acc)
-    return acc, mu
+    ratio = ((n + 2) / (n + 1)) ** weight * absq
+    return acc, mu, (n + 1) ** weight * absq ** (n + 1) / (1.0 - ratio)
 
 
-def _row_sum_error(tau: complex, power: int, coeff: float,
-                   cutoff: int) -> tuple[float, float]:
-    """|sum over |d| <= cutoff of (tau+d)^-power - coeff sum m^(power-1) q^m|,
-    and a bound on the rounding of both sides (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed.).
-
-    Left, the summation of :func:`_row_sum_left`, with A the sum of |t|
-    over its computed terms t: forming a term takes about 4 power roundings,
-    adding a pair 1, each block partial 1 and the final fsum 1 (fsum rounds
-    a real and an imaginary part once each, a complex error of at most u
-    times the modulus), so the left side is off by at most (4 power + 4) u A;
-    the spare unit covers the second-order terms.  Right, |coeff| mu from
-    :func:`_row_sum_right`, times 1.01 for its 1 + O(n u), plus u |coeff S|
-    each for the product by coeff and for the difference of the sides.
+def _row_sum_error(tau: complex, power: int, coeff: float) -> tuple[float, float]:
+    """|sum over all d of (tau+d)^-power - coeff sum m^(power-1) q^m|, and
+    its bound where the identity holds: the left side's from
+    :func:`_row_sum_left` plus |coeff| times the right side's tail and
+    rounding u mu (times 1.01 for its 1 + O(n u)) from :func:`_row_sum_right`,
+    and u |coeff S| each for the product by coeff and the difference.
     """
-    left, moduli = _row_sum_left(tau, power, cutoff)
-    total, mu = _row_sum_right(tau, power - 1)
-    right = abs(coeff) * (1.01 * mu + 2.0 * abs(total))
-    err = abs(left - coeff * total)
-    return err, _U * ((4 * power + 4) * moduli + right)
+    left, left_bound = _row_sum_left(tau, power)
+    total, mu, tail = _row_sum_right(tau, power - 1)
+    right = abs(coeff) * (tail + _U * (1.01 * mu + 2.0 * abs(total)))
+    return abs(left - coeff * total), left_bound + right
 
 
 def check_row_sum2(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
-    """sum over d of (tau+d)^-2 against -4 pi^2 sum m q^m.
-
-    The left side is truncated at |d| <= D with tail 2/(D - |tau|) + O(D^-2),
-    so the tolerance is 8/D (absolute difference).  The rounding bound is
-    left out: down to im(tau) = 0.002 it stays below a quarter of 8/D.
+    """sum over every d of (tau+d)^-2 against -4 pi^2 sum m q^m, absolute
+    difference; the tolerance is the traced bound of :func:`_row_sum_error`
+    (both sides' rounding, a remainder near 3e-28 and the right side's tail).
     """
     tau = _require_uhp(tau)
-    err, _ = _row_sum_error(tau, 2, -4.0 * _PI**2, cfg.row_cutoff)
-    return _law_report("row-sum-weight2", err, cfg, default_tol=8.0 / cfg.row_cutoff, tau=tau)
+    err, bound = _row_sum_error(tau, 2, -4.0 * _PI**2)
+    return _law_report("row-sum-weight2", err, cfg, default_tol=bound, tau=tau)
 
 
 def check_row_sum4(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
-    """sum over d of (tau+d)^-4 against (8 pi^4 / 3) sum m^3 q^m.
-
-    The tolerance is the left side's tail 2/(3 (D - |tau|)^3) + ..., taken
-    as 16/D^3, plus the rounding bounds of both sides: near the real axis
-    the right side grows like (8 pi^4/3) sum m^3 |q|^m (about 1e4 at
-    0.1+0.1i), and its rounding outgrows any fixed absolute floor.
+    """sum over every d of (tau+d)^-4 against (8 pi^4 / 3) sum m^3 q^m, with
+    the tolerance of :func:`check_row_sum2`: near the real axis the right
+    side grows (about 1e4 at 0.1+0.1i), and so does its rounding.
     """
     tau = _require_uhp(tau)
-    err, rounding = _row_sum_error(tau, 4, 8.0 * _PI**4 / 3.0, cfg.row_cutoff)
-    return _law_report("row-sum-weight4", err, cfg,
-                       default_tol=16.0 / cfg.row_cutoff**3 + rounding, tau=tau)
+    err, bound = _row_sum_error(tau, 4, 8.0 * _PI**4 / 3.0)
+    return _law_report("row-sum-weight4", err, cfg, default_tol=bound, tau=tau)
 
 
 def check_G4_expansion(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
-    """Lattice sum against the sigma3 q-expansion, relative error.
+    """Lattice sum by rows against the sigma3 q-expansion, relative error.
 
-    The shell tail is O(R^-2); at the default R = 3000 it sits near 1e-7,
-    well under the 1e-5 gate.
+    The tolerance is the bound of :func:`G4_lattice` (omitted rows, 1.3e-7
+    at the default tau and R = 3000, and rounding) plus the series' Horner
+    rounding 4 N u (pi^4/45) 240 sum sigma3(n) |q|^n over its N terms
+    (Higham §5.1), relative to the series, whose tail is below 1e-18.
     """
     tau = _require_uhp(tau)
-    lattice = G4_lattice(tau, cfg)
     series = G4_series(tau)
-    return _law_report("g4-lattice-vs-series", abs(lattice - series) / abs(series), cfg, tau=tau)
+    lattice, bound = G4_lattice(tau, cfg)
+    terms = _terms_needed(abs(_q_from_tau(tau)), _sigma3_tail)
+    moduli = G4_series(1j * tau.imag).real - _PI**4 / 45.0
+    tol = (bound + 4 * terms * _U * moduli) / abs(series)
+    return _law_report("g4-lattice-vs-series", abs(lattice - series) / abs(series), cfg,
+                       default_tol=tol, tau=tau)
 
 
 def check_G4_transform(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -542,7 +570,8 @@ def _single_term_tilde(tilde: complex) -> complex:
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """num evenly spaced points as numpy.linspace computes them, bit for bit."""
+    """num evenly spaced points, the last exactly stop (the tests check them
+    against numpy.linspace bit for bit, so the grids match earlier runs)."""
     step = (stop - start) / (num - 1)
     return [start + i * step for i in range(num - 1)] + [stop]
 

@@ -27,8 +27,8 @@ POISSON_POINTS = (0.1, 0.5, 1.0, 2.0)
 
 # Every display name the subcommands take, with the name of the function
 # that serves it.  Functions are looked up at call time, so a rebound module
-# attribute (a tracer, a test double) sees every call, and a module (numpy
-# with `analytic`) is imported only when a command runs it.
+# attribute (a tracer, a test double) sees every call, and a module (`forms`
+# with `expand`) is imported only when a command runs it.
 # expand name -> series constructor in `forms`
 _SERIES = {
     "theta": "theta",
@@ -67,7 +67,7 @@ _ANALYTIC = {
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
 # verify-analytic flags that set the EvalConfig field of the same name, with
 # their types; an omitted flag leaves that field's EvalConfig default in place
-_CONFIG_FLAGS = {"lattice_radius": int, "row_cutoff": int, "tol": float}
+_CONFIG_FLAGS = {"lattice_radius": int, "tol": float}
 
 # Ceiling on expand/verify --order, measured at 3000 on a 2-core VM: `verify
 # psi-triple` 5.7 s, `expand phi` 1.6 s, all others under 0.1 s.  Near 3250,

@@ -105,13 +105,6 @@ def mobius(m: Mat2Z, tau: complex) -> complex:
 
 # --------------------------------------------------------------- congruences
 
-def in_gamma4(m: Mat2Z) -> bool:
-    """Congruent to the identity mod 4."""
-    return (
-        m.a % 4 == 1 and m.d % 4 == 1 and m.b % 4 == 0 and m.c % 4 == 0
-    )
-
-
 def in_gamma1_4(m: Mat2Z) -> bool:
     """Congruent to [[1, *], [0, 1]] mod 4."""
     return m.a % 4 == 1 and m.d % 4 == 1 and m.c % 4 == 0
@@ -197,9 +190,6 @@ class GenWord(Record):
         if not isinstance(other, GenWord):
             return NotImplemented
         return GenWord(self.letters + other.letters)
-
-    def inv(self) -> "GenWord":
-        return GenWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -332,15 +322,3 @@ def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
         mat = step.evaluate() * mat
         cur = mobius(mat, tau)
     raise ValueError(f"reduction did not reach D within {REDUCE_MAX_STEPS} steps for tau = {tau}")
-
-
-def stereographic(q: complex) -> tuple[float, float, float]:
-    """Inverse stereographic projection of q = u + iv onto the unit sphere.
-
-    Returns (4u, 4v, u^2 + v^2 - 4) / (u^2 + v^2 + 4), a unit vector; the
-    origin maps to the South Pole (0, 0, -1).
-    """
-    u, v = q.real, q.imag
-    r2 = u * u + v * v
-    scale = 1.0 / (r2 + 4.0)
-    return (4.0 * u * scale, 4.0 * v * scale, (r2 - 4.0) * scale)

@@ -91,13 +91,6 @@ def partitions_table(limit: int) -> list[int]:
     return euler_quotient([1] + [0] * limit)
 
 
-def partitions(n: int) -> int:
-    """Number of integer partitions of n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return partitions_table(n)[n]
-
-
 def r4_bruteforce(n: int) -> int:
     """Number of ordered quadruples (a,b,c,d) in Z^4 with a^2+b^2+c^2+d^2 = n.
 

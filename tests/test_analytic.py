@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from operator import add, attrgetter
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from foursquares import analytic, forms
 from foursquares.analytic import (
     MAX_LATTICE_RADIUS,
-    MAX_ROW_CUTOFF,
     EvalConfig,
     G4_lattice,
     G4_series,
@@ -48,11 +48,13 @@ def eval_qseries(series, q):
     return analytic._horner([float(c) for c in series.coeffs], q)
 
 
-def full_shell_lattice(tau, R):
-    """The weight-4 lattice sum with every one of the 8r points of each shell.
+U = 2.0**-53
 
-    Reference for the half-lattice `G4_lattice`.
-    """
+
+def full_shell_lattice(tau, R):
+    """The weight-4 lattice sum over the square max(|c|,|d|) <= R, with
+    every one of the 8r points of each shell: the numpy route that the
+    rows of `G4_lattice` replaced, kept as its oracle."""
     total = 0j
     for r in range(1, R + 1):
         full = np.arange(-r, r + 1)
@@ -68,6 +70,65 @@ def full_shell_lattice(tau, R):
         z2 = z * z
         total += np.sum(1.0 / (z2 * z2))
     return complex(total)
+
+
+def shell_tail_bound(tau, R):
+    """sum over max(|c|,|d|) > R of |c tau + d|^-4: with l the least
+    eigenvalue of the form |c tau + d|^2 = (c, d) [[|tau|^2, x], [x, 1]]
+    (c, d)^T, each of the 8r points of shell r has |c tau + d|^2 >= l r^2,
+    so the tail is at most sum_(r>R) 8 r^-3 / l^2 <= 4 / (l^2 R^2)."""
+    a, x = abs(tau) ** 2, tau.real
+    least = ((a + 1) - math.sqrt((a - 1) ** 2 + 4 * x * x)) / 2
+    return 4.0 / (least**2 * R**2)
+
+
+def streamed_row_sum(tau, power, cutoff):
+    """sum over |d| <= cutoff of (tau+d)^-power in blocks of pair terms
+    (tau+d)^-power + (tau-d)^-power, each block's real and imaginary parts
+    summed by math.fsum, and the sum of the moduli of its terms: the
+    streamed route that the Euler-Maclaurin tails of `_row_sum_left`
+    replaced, kept as its oracle.  Its rounding is at most (4 power + 4) u
+    times that sum of moduli; its truncation, below."""
+    fsum, real, imag, block = math.fsum, attrgetter("real"), attrgetter("imag"), 4096
+    head = tau**-power
+    re, im, moduli = [head.real], [head.imag], abs(head)
+    for lo in range(1, cutoff + 1, block):
+        ds = range(lo, min(lo + block, cutoff + 1))
+        plus = [(tau + d) ** -power for d in ds]
+        minus = [(tau - d) ** -power for d in ds]
+        moduli += sum(map(abs, plus)) + sum(map(abs, minus))
+        pair = list(map(add, plus, minus))
+        re.append(fsum(map(real, pair)))
+        im.append(fsum(map(imag, pair)))
+    return complex(fsum(re), fsum(im)), moduli
+
+
+def row_tail_bound(tau, power, cutoff):
+    """sum over |d| > cutoff of |tau+d|^-power <= 2 (D - |x|)^(1-power) /
+    (power - 1), D = cutoff > |x| = |re tau|, against the integral."""
+    return 2.0 * (cutoff - abs(tau.real)) ** (1 - power) / (power - 1)
+
+
+def row_reference(mpmath, tau, power):
+    """The row sum over all d of (tau+d)^-power in closed form, never the
+    q-expansion: pi^2 csc^2(pi tau) for power 2 and its second derivative
+    over 6, (pi^4/3)(3 csc^4 - 2 csc^2)(pi tau), for power 4."""
+    csc2 = 1 / mpmath.sin(mpmath.pi * mpmath.mpc(tau)) ** 2
+    if power == 2:
+        return mpmath.pi**2 * csc2
+    return mpmath.pi**4 * (3 * csc2**2 - 2 * csc2) / 3
+
+
+def lattice_reference(mpmath, tau):
+    """G4 = 2 zeta(4) + 2 sum_(c>=1) row4(c tau), rows in closed form,
+    summed until a row falls below 1e-45 of the total."""
+    total, tau = 2 * mpmath.zeta(4), mpmath.mpc(tau)
+    for c in range(1, 10_000):
+        row = row_reference(mpmath, c * tau, 4)
+        total += 2 * row
+        if abs(row) < mpmath.mpf(10) ** -45 * abs(total):
+            return total
+    raise AssertionError("lattice reference did not converge")
 
 
 class TestThetaEval:
@@ -205,14 +266,16 @@ class TestThetaTransform:
 
 class TestRowSums:
     def test_weight4_tail(self):
-        report = check_row_sum4(1j, EvalConfig(row_cutoff=10_000))
+        report = check_row_sum4(1j)
         assert report.passed
         assert report.error < 1e-10
 
     def test_weight2_slow_tail(self):
+        # the tail past any cutoff D is about 2/D, and the Euler-Maclaurin
+        # tails carry all of it
         report = check_row_sum2(1j)
         assert report.passed
-        assert report.error < 1e-4
+        assert report.error < 1e-14
 
     @pytest.mark.parametrize("tau", [0.1 + 0.1j, 0.05 + 0.05j])
     def test_weight4_near_real_axis(self, tau):
@@ -223,29 +286,32 @@ class TestRowSums:
         assert 1e-12 < report.error < report.tol < 1e-7
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, -0.4 + 0.05j, 0.02 + 0.3j,
-                                     0.3 + 0.002j, 0.3 + 0.001j])
+                                     0.3 + 0.002j, 0.3 + 0.001j, 12345.3 + 1.1j])
     @pytest.mark.parametrize("power, coeff", [(2, -4 * math.pi**2), (4, 8 * math.pi**4 / 3)])
     def test_rounding_bound_against_reference(self, tau, power, coeff):
-        # the float difference of the two sides lies within the rounding
-        # bound of the exact difference of the same truncated sums, and the
-        # right side alone within its running bound
+        # each side lies within its own bound of a 40-digit reference, the
+        # left of its closed form and the right of the same truncated sum,
+        # and the float difference of the sides within the check's bound;
+        # far from re 0 both sides are taken at tau - round(re tau), where
+        # exp(2 pi i tau) would lose about 1e-12 of its phase
         mpmath = pytest.importorskip("mpmath")
-        cutoff = 3000
-        err, rounding = analytic._row_sum_error(tau, power, coeff, cutoff)
-        total, mu = analytic._row_sum_right(tau, power - 1)
-        terms = analytic._terms_needed(abs(q_of(tau)), analytic._power_tail(power - 1))
+        err, bound = analytic._row_sum_error(tau, power, coeff)
+        left, left_bound = analytic._row_sum_left(tau, power)
+        total, mu, _ = analytic._row_sum_right(tau, power - 1)
+        terms = analytic._terms_needed(abs(q_of(tau)), lambda m: (power - 1) * math.log(m))
         with mpmath.workdps(40):
-            t = mpmath.mpc(tau.real, tau.imag)
-            left = mpmath.fsum((t + d) ** -power for d in range(-cutoff, cutoff + 1))
-            q = mpmath.exp(2j * mpmath.pi * t)
+            row = row_reference(mpmath, tau, power)
+            q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
             right, qm = mpmath.mpc(0), mpmath.mpc(1)
             for m in range(1, terms + 1):
                 qm *= q
                 right += m ** (power - 1) * qm
-            exact = abs(left - coeff * right)
-            right_error = abs(mpmath.mpc(total.real, total.imag) - right)
-        assert abs(err - exact) <= rounding
-        assert right_error <= 1.01 * 2.0**-53 * mu
+            left_error = abs(mpmath.mpc(left) - row)
+            right_error = abs(mpmath.mpc(total) - right)
+            exact = abs(row - coeff * right)
+        assert left_error <= left_bound
+        assert right_error <= 1.01 * U * mu
+        assert abs(err - exact) <= bound
 
     @pytest.mark.parametrize("tau, a_priori", [(0.3 + 0.002j, 0.23), (0.3 + 0.001j, 7.3)])
     def test_weight4_tolerance_near_real_axis(self, tau, a_priori):
@@ -256,52 +322,53 @@ class TestRowSums:
         assert report.tol < a_priori / 100
 
     @pytest.mark.parametrize("im", [0.002, 0.01, 0.1, 1.0])
-    def test_weight2_rounding_below_its_tail(self, im, monkeypatch):
-        # the rounding bound reads only the left side's sum of moduli, so in
-        # place of building it at MAX_ROW_CUTOFF take that sum's majorant
-        monkeypatch.setattr(analytic, "_row_sum_left",
-                            lambda tau, power, cutoff: (0j, moduli_majorant(tau, power)))
-        _, rounding = analytic._row_sum_error(0.3 + 1j * im, 2, -4 * math.pi**2, MAX_ROW_CUTOFF)
-        assert rounding < 2.0 / MAX_ROW_CUTOFF
+    def test_weight2_window_changes_nothing_beyond_rounding(self, im):
+        # the Euler-Maclaurin tails carry more or less of the row as the
+        # window moves, and the sums agree within their two bounds
+        tau = 0.3 + 1j * im
+        results = [analytic._row_sum_left(tau, 2, window) for window in (16, 48, 200)]
+        for (a, bound_a), (b, bound_b) in zip(results, results[1:]):
+            assert abs(a - b) <= bound_a + bound_b
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, 0.3 + 0.002j])
     @pytest.mark.parametrize("power", [2, 4])
     def test_left_moduli_below_their_majorant(self, tau, power):
-        _, moduli = analytic._row_sum_left(tau, power, 50_000)
-        assert moduli <= moduli_majorant(tau, power)
+        # the running bound weighs the moduli of the window's terms by
+        # (4 power + 8) u and those of the tails' terms by 260 u; both sums
+        # stay below the majorant of the whole row's moduli
+        _, bound = analytic._row_sum_left(tau, power)
+        assert bound <= (4 * power + 8 + 260) * U * moduli_majorant(tau, power)
 
     @pytest.mark.parametrize("cutoff", [1, 4095, 4096, 4097, 3 * 4096 + 5])
     @pytest.mark.parametrize("power", [2, 4])
     def test_left_side_matches_the_array_sum(self, cutoff, power):
-        # the numpy pass the streamed blocks replaced, as an oracle across
-        # block edges: the two differ by at most the sum of their rounding
-        # bounds, (4 power + 4) u and, summed pairwise, about
-        # (log2(cutoff) + 18 + 4 power) u, times the sum of moduli
+        # the streamed fsum over |d| <= cutoff, as an oracle across its
+        # block edges: it differs from the full row by at most its tail,
+        # and the two sums by that plus both rounding bounds
         tau = 0.3 + 1.1j
-        d = np.arange(1, cutoff + 1)
-        oracle = complex(tau**-power + np.sum((tau + d) ** -power + (tau - d) ** -power))
-        got, moduli = analytic._row_sum_left(tau, power, cutoff)
-        factor = 8 * power + 22 + math.log2(cutoff)
-        assert abs(got - oracle) <= factor * 2.0**-53 * moduli
+        oracle, moduli = streamed_row_sum(tau, power, cutoff)
+        got, bound = analytic._row_sum_left(tau, power)
+        assert abs(got - oracle) <= bound + (4 * power + 4) * U * moduli + row_tail_bound(
+            tau, power, cutoff)
 
     def test_left_side_memory_is_flat(self):
-        # the left side streams its terms through fixed-size blocks, so its
-        # peak is one block's, about 0.7 MB, at any cutoff; these 10^5
-        # terms held at once would take 5.6 MB
+        # a row holds its window's terms and nothing that grows with the
+        # point; the streamed sum it replaced held 2 * 4096 terms at a time
         tracemalloc.start()
         try:
-            analytic._row_sum_left(0.3 + 1.1j, 4, 10**5)
+            for tau in (0.3 + 1.1j, 0.3 + 0.002j, 0.5 + 10j):
+                analytic._row_sum_left(tau, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < 2**15
 
     def test_single_term_regime(self):
         # far up the cylinder the right side is one geometric term
         tau = 0.5 + 10j
         q = q_of(tau)
         rhs = -4 * math.pi**2 * q
-        report = check_row_sum2(tau, EvalConfig(row_cutoff=50_000))
+        report = check_row_sum2(tau)
         assert report.passed
         assert abs(rhs) < 1e-25  # the identity is all tail here
 
@@ -312,6 +379,14 @@ def moduli_majorant(tau, power):
     y = tau.imag
     c = math.sqrt(math.pi) * math.gamma((power - 1) / 2) / math.gamma(power / 2)
     return y**-power + c * y ** (1 - power)
+
+
+def lattice_moduli(tau):
+    """sum over (c, d) != (0, 0) of |c tau + d|^-4 <= 2 zeta(4) +
+    pi zeta(3) / y^3 + 2 zeta(4) / y^4: each row c != 0 is at most the
+    integral pi/(2 |c|^3 y^3) of its summand plus its peak (|c| y)^-4."""
+    y, zeta3, zeta4 = tau.imag, 1.2020569031595942, math.pi**4 / 90
+    return 2 * zeta4 + math.pi * zeta3 / y**3 + 2 * zeta4 / y**4
 
 
 def geometric_sum(q, weight):
@@ -338,8 +413,8 @@ class TestRowSumRight:
             q = q_of(tau)
             n = analytic._terms_needed(abs(q), bound)
             scale = sum(m**weight * abs(q) ** m for m in range(1, n + 1))
-            got, _ = analytic._row_sum_right(tau, weight)
-            assert abs(got - geometric_sum(q, weight)) <= 4 * n * u * scale
+            got, _, tail = analytic._row_sum_right(tau, weight)
+            assert abs(got - geometric_sum(q, weight)) <= 4 * n * u * scale + tail
 
 
 class TestG4:
@@ -349,15 +424,27 @@ class TestG4:
         assert report.error < 1e-5
 
     def test_real_at_purely_imaginary_tau(self):
-        value = G4_lattice(2j, EvalConfig(lattice_radius=400))
+        value, _ = G4_lattice(2j, EvalConfig(lattice_radius=400))
         assert abs(value.imag) < 1e-10 * abs(value)
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, 1j, 0.1 + 0.5j, -0.45 + 0.06j, 0.2 + 3j])
     @pytest.mark.parametrize("R", [1, 2, 3, 50, 400])
     def test_half_lattice_matches_full_shells(self, tau, R):
-        got = G4_lattice(tau, EvalConfig(lattice_radius=R))
+        # rows |c| <= R against the square of shells max(|c|,|d|) <= R: each
+        # misses the full sum by at most its stated bound; the shells, by
+        # their tail and their rounding (8u a term, log2(8R) u in numpy's
+        # pairwise sum of a shell, R u for adding up R shells)
+        got, bound = G4_lattice(tau, EvalConfig(lattice_radius=R))
         want = full_shell_lattice(tau, R)
-        assert abs(got - want) <= 1e-14 * abs(want)
+        shells_rounding = (24 + R) * U * lattice_moduli(tau)
+        assert abs(got - want) <= bound + shell_tail_bound(tau, R) + shells_rounding
+
+    def test_rows_converge_at_rounding_level(self):
+        # at Im 1.1 rows past c = 20 are below 1e-50 in exact arithmetic,
+        # so every radius from there on gives the same sum within rounding
+        small, _ = G4_lattice(0.3 + 1.1j, EvalConfig(lattice_radius=20))
+        large, _ = G4_lattice(0.3 + 1.1j, EvalConfig(lattice_radius=3000))
+        assert abs(small - large) < 1e-15 * abs(large)
 
     @pytest.mark.parametrize("m", [MAT_S, MAT_T])
     def test_weight4_law_series_path(self, m):
@@ -373,6 +460,35 @@ class TestG4:
         # pi^4/45 times a number close to 1 at tau = 2i
         val = G4_series(2j)
         assert abs(val - math.pi**4 / 45) < 0.01
+
+
+class TestReferenceTier:
+    """Each row and lattice sum against a 40-digit reference built from
+    closed-form rows (csc^2 and its second derivative), never from the
+    q-expansion that the checks compare them with."""
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, 0.05 + 0.05j, 0.3 + 0.002j])
+    @pytest.mark.parametrize("power", [2, 4])
+    def test_row_within_its_stated_bound(self, tau, power):
+        mpmath = pytest.importorskip("mpmath")
+        got, bound = analytic._row_sum_left(tau, power)
+        with mpmath.workdps(40):
+            row = row_reference(mpmath, tau, power)
+            error = float(abs(mpmath.mpc(got) - row))
+        assert error <= bound
+        assert error <= 1e-15 * float(abs(row))
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.3 + 1.2j, 0.1 + 0.1j])
+    def test_lattice_within_its_stated_bound(self, tau):
+        # the bound is dominated by the omitted rows, traced without the row
+        # identity; the sum itself lands at rounding level
+        mpmath = pytest.importorskip("mpmath")
+        got, bound = G4_lattice(tau)
+        with mpmath.workdps(40):
+            want = lattice_reference(mpmath, tau)
+            error = float(abs(mpmath.mpc(got) - want))
+        assert error <= bound
+        assert error <= 1e-15 * float(abs(want))
 
 
 class TestQuasimodular:
@@ -537,18 +653,16 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="lattice_radius must be positive"):
             EvalConfig(lattice_radius=0)
-        with pytest.raises(ValueError, match="row_cutoff must be positive"):
-            EvalConfig(row_cutoff=-1)
+        with pytest.raises(TypeError):
+            EvalConfig(row_cutoff=200_000)  # the row sums have no cutoff
         with pytest.raises(ValueError):
             EvalConfig(tol=-1.0)
 
     def test_cutoff_ceilings(self):
         # validated before anything of that size is allocated
-        EvalConfig(lattice_radius=MAX_LATTICE_RADIUS, row_cutoff=MAX_ROW_CUTOFF)
+        EvalConfig(lattice_radius=MAX_LATTICE_RADIUS)
         with pytest.raises(ValueError, match="lattice_radius"):
             EvalConfig(lattice_radius=MAX_LATTICE_RADIUS + 1)
-        with pytest.raises(ValueError, match="row_cutoff"):
-            EvalConfig(row_cutoff=10**12)
 
     def test_tolerance_override(self):
         cfg = EvalConfig(tol=0.5)

@@ -155,14 +155,15 @@ class TestVerifyAnalytic:
         assert doc["error"] < 1e-4
 
     def test_row_sums(self):
-        code, _, _ = invoke(
-            ["verify-analytic", "row-sum4", "--tau", "0,1", "--row-cutoff", "10000"]
-        )
-        assert code == 0
+        for check in ("row-sum2", "row-sum4"):
+            code, out, _ = invoke(["verify-analytic", check, "--tau", "0,1", "--format", "json"])
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["error"] < doc["tol"] < 1e-13
 
     @pytest.mark.parametrize("argv", [
         ["g4", "--lattice-radius", "10001"],
-        ["row-sum2", "--row-cutoff", "100000000"],
+        ["g4", "--lattice-radius", "100000000"],
     ])
     def test_cutoff_above_ceiling_is_usage_error(self, argv):
         code, out, err = invoke(["verify-analytic", *argv])
@@ -170,10 +171,12 @@ class TestVerifyAnalytic:
         assert "must be <=" in err
 
     def test_series_order_flag_is_unrecognized(self):
-        # term counts come from tail bounds; there is no flag to raise them
-        code, out, err = invoke(["verify-analytic", "ode-solution", "--series-order", "5000"])
-        assert code == 2 and out == ""
-        assert "unrecognized arguments: --series-order" in err
+        # term counts come from tail bounds, and the row sums take every d
+        # through their Euler-Maclaurin tails; there is no flag to raise either
+        for name, flag in (("ode-solution", "--series-order"), ("row-sum2", "--row-cutoff")):
+            code, out, err = invoke(["verify-analytic", name, flag, "5000"])
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {flag}" in err
 
     def test_precondition_violation_is_usage_error(self):
         code, _, err = invoke(
@@ -366,8 +369,8 @@ print(sorted(set({names!r}) & set(sys.modules)))
 """
 
 
-# Only the lattice sum builds arrays large enough to need numpy; every
-# other verify-analytic check, the row sums included, sums in plain floats.
+# No subcommand imports numpy: the package sums in plain floats and ints.
+# The cases keep their order, so their ids stay stable.
 _ROW_SUMS = ("row-sum2", "row-sum4")
 
 
@@ -375,13 +378,9 @@ _ROW_SUMS = ("row-sum2", "row-sum4")
     ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"],
       ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"], ["reduce-tau", "5.3,2"]],
      False),
-    # A control for the case above: the probe sees numpy that a later
-    # subcommand loads in the same process as r4.
-    ([["r4", "10"], ["verify-analytic", "g4"]], True),
-    ([["verify-analytic", "g4"]], True),
-    # Controls for the row sums, the last two cases: the same for g4 run
-    # after a row sum.
-    *[([["verify-analytic", check], ["verify-analytic", "g4"]], True) for check in _ROW_SUMS],
+    ([["r4", "10"], ["verify-analytic", "g4"]], False),
+    ([["verify-analytic", "g4"]], False),
+    *[([["verify-analytic", check], ["verify-analytic", "g4"]], False) for check in _ROW_SUMS],
     *[([["verify-analytic", check]], False)
       for check in ANALYTIC_CHECKS if check not in ("g4", *_ROW_SUMS)],
     *[([["verify-analytic", check]], False) for check in _ROW_SUMS],
@@ -389,6 +388,14 @@ _ROW_SUMS = ("row-sum2", "row-sum4")
 def test_numpy_imported_only_by_subcommands_that_use_it(argvs, loads_numpy):
     loaded = _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=("numpy",)))
     assert loaded == str(["numpy"] if loads_numpy else [])
+
+
+def test_import_probe_sees_numpy():
+    # the control for the cases above: the probe reports numpy once
+    # something in the process has imported it
+    pytest.importorskip("numpy")
+    probe = "import numpy\n" + _IMPORT_PROBE.format(argv=[["indices"]], names=("numpy",))
+    assert _fresh_python(probe) == "['numpy']"
 
 
 _NO_FORMS = ("dataclasses", "foursquares.forms", "foursquares.qseries", "fractions")

@@ -12,7 +12,6 @@ from foursquares.numtheory import (
     divisors,
     euler_quotient,
     jacobi_count,
-    partitions,
     partitions_table,
     r4_bruteforce,
     sigma,
@@ -137,13 +136,12 @@ class TestDivisorSums:
 
 class TestPartitions:
     def test_small_values(self):
-        assert partitions(0) == 1
-        assert partitions(5) == 7
-        assert partitions(6) == 11
+        assert partitions_table(6)[0] == 1
+        assert partitions_table(5)[5] == 7
+        assert partitions_table(6)[6] == 11
 
     def test_against_enumeration(self):
-        for n in range(25):
-            assert partitions(n) == partitions_by_enumeration(n)
+        assert partitions_table(24) == [partitions_by_enumeration(n) for n in range(25)]
 
     def test_matches_product_expansion(self):
         # coefficient of q^n in prod 1/(1 - q^k), each factor expanded as a
@@ -158,7 +156,7 @@ class TestPartitions:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            partitions(-1)
+            partitions_table(-1)
 
     def test_matches_pentagonal_loop(self):
         assert partitions_table(500) == partitions_by_pentagonal_loop(500)
