@@ -122,7 +122,11 @@ def _require_uhp(tau: complex) -> complex:
 
 
 def _q_from_tau(tau: complex) -> complex:
-    return cmath.exp(2j * _PI * tau)
+    """exp(2 pi i tau), taken at tau - round(re tau): exact (Sterbenz's
+    lemma), so q's phase loses no 2 pi |re tau| u to a large re tau, and
+    every evaluator through here gives the same bits at tau and tau + k
+    whenever tau + k is itself exact."""
+    return cmath.exp(2j * _PI * (tau - round(tau.real)))
 
 
 @lru_cache(maxsize=None)
@@ -366,16 +370,16 @@ def _row_sum_left(tau: complex, power: int, window: int = _ROW_WINDOW) -> tuple[
 
 
 def _row_sum_right(tau: complex, weight: int) -> tuple[complex, float, float]:
-    """sum m^weight q^m at q(tau - round(re tau)), free of the phase error
-    of a large re(tau), to its tail bound m^weight |q|^m; mu, a bound on its rounding
-    error in units of u, from the same Horner pass (Higham §5.1, Algorithm
-    5.1, made complex): y q rounds by at most sqrt(2) gamma_2 |y q| <= 3u |y q|
-    (§3.6) and adding the real c by u |y q + c|, so the error of y_k is at
-    most u mu_k, mu_k = |q| (mu_(k+1) + 3 |y_(k+1)|) + |y_k|, to 1 + O(n u);
+    """sum m^weight q^m to its tail bound m^weight |q|^m; mu, a bound on
+    its rounding error in units of u, from the same Horner pass (Higham
+    §5.1, Algorithm 5.1, made complex): y q rounds by at most
+    sqrt(2) gamma_2 |y q| <= 3u |y q| (§3.6) and adding the real c by
+    u |y q + c|, so the error of y_k is at most u mu_k, mu_k = |q| (mu_(k+1)
+    + 3 |y_(k+1)|) + |y_k|, to 1 + O(n u);
     and the tail bound sum_(m>N) m^weight |q|^m <= (N+1)^weight |q|^(N+1)
     / (1 - r), r = ((N+2)/(N+1))^weight |q| < 1 by N's tail criterion.
     """
-    q = _q_from_tau(tau - round(tau.real))
+    q = _q_from_tau(tau)
     absq = abs(q)
     n = _terms_needed(absq, lambda m: weight * math.log(m))
     acc, mu = 0j, 0.0

@@ -127,7 +127,7 @@ def phi_by_reduction_of_order(order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     e = _euler_product(order) ** 4
-    den = math.lcm(*(Fraction(c, 6 * n + 1).denominator for n, c in enumerate(e.coeffs)))
+    den = math.lcm(*((6 * n + 1) // math.gcd(c, 6 * n + 1) for n, c in enumerate(e.coeffs)))
     num = [c * den // (6 * n + 1) for n, c in enumerate(e.coeffs)]
     return QSeries(euler_quotient(euler_quotient(num))) * Fraction(1, den)
 

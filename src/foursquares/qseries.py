@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -157,6 +158,12 @@ class QSeries:
         return f"QSeries({format_series(self)!r})"
 
 
+# The signed `array` typecode of each item size this platform has, smallest
+# first (C orders the sizes of b, h, i, l, q).  'i' and 'l' vary in size by
+# platform, so sizes, not letters, pick the slot codec.
+_SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
 def _coerce(x: "QSeries | Scalar", order: int) -> QSeries:
     if isinstance(x, QSeries):
         return x
@@ -168,38 +175,45 @@ def _coerce(x: "QSeries | Scalar", order: int) -> QSeries:
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Coefficients c_0 .. c_n of (sum a_i q^i) * (sum b_j q^j), for ints.
 
-    Kronecker substitution: each factor, split into its positive and negative
-    parts, is packed into one int with a fixed-width slot per coefficient, so
-    one int product holds c_k in slot k.  A slot holds the largest sum any
-    c_k can reach, so none carries into the next; a factor without negative
-    coefficients has no negative part to pack, and a square packs once.
-    Packing and unpacking go through bytes: linear, where a shift per slot is quadratic.
+    Kronecker substitution: each factor is packed into one int with a
+    w-byte slot per coefficient, so one int product holds c_k in slot k (a
+    square packs once).  Slots are signed: each holds the two's complement
+    of its value, and every |c_k| is below the bound on the largest sum any
+    c_k can reach, which has fewer than 8w bits, so w leaves room for the
+    sign bit and nothing carries into the next slot.  XOR with H = 2^(8w-1)
+    in every slot (Hs) maps a two's-complement x to x + H >= 0, so a packed
+    factor is (bytes read as unsigned ^ Hs) - Hs, and the low n + 1 slots
+    of (product + Hs) ^ Hs are the c_k in two's complement.  Slots convert
+    to and from bytes in C through `array` when w rounds up to one of its
+    signed item sizes (1, 2, 4 or 8 bytes), else one int at a time (big
+    coefficients); both are linear, where a shift per slot is quadratic.
     """
-    a, b = a[: n + 1], b[: n + 1]
+    square = b is a
+    a = a[: n + 1]
+    b = a if square else b[: n + 1]
     if not any(a) or not any(b):
         return [0] * (n + 1)
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
+    width = (bound.bit_length() + 8) // 8
+    width, code = next(((size, c) for size, c in _SLOT_CODES.items() if size >= width),
+                       (width, ""))
+    high = b"\0" * (width - 1) + b"\x80"
+
+    def pack(xs: Sequence[int]) -> int:
+        data = (array(code, xs).tobytes() if code
+                else b"".join(x.to_bytes(width, "little", signed=True) for x in xs))
+        hs = int.from_bytes(high * len(xs), "little")
+        return (int.from_bytes(data, "little") ^ hs) - hs
+
+    packed = pack(a)
+    product = packed * (packed if square else pack(b))
     size = (n + 1) * width
-
-    def pack(xs: Iterable[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in xs), "little")
-
-    def unpack(value: int) -> list[int]:
-        data = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
-
-    def split(xs: Sequence[int]) -> tuple[int, int]:
-        if min(xs) >= 0:
-            return pack(xs), 0
-        return pack(max(x, 0) for x in xs), pack(max(-x, 0) for x in xs)
-
-    a_pos, a_neg = split(a)
-    b_pos, b_neg = (a_pos, a_neg) if b is a else split(b)
-    plus = unpack(a_pos * b_pos + a_neg * b_neg)
-    if not (a_neg or b_neg):
-        return plus
-    return list(map(operator.sub, plus, unpack(a_pos * b_neg + a_neg * b_pos)))
+    hs = int.from_bytes(high * (n + 1), "little")
+    data = (((product + hs) & ((1 << 8 * size) - 1)) ^ hs).to_bytes(size, "little")
+    if code:
+        return array(code, data).tolist()
+    return [int.from_bytes(data[i : i + width], "little", signed=True)
+            for i in range(0, size, width)]
 
 
 def qderiv(a: QSeries) -> QSeries:

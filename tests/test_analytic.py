@@ -188,6 +188,14 @@ def test_non_finite_tau_rejected(evaluate, tau):
         evaluate(tau)
 
 
+@pytest.mark.parametrize("evaluate", [theta_eval, L_eval, M_eval, G4_series])
+@pytest.mark.parametrize("tau", [0.25 + 1.1j, -0.375 + 0.3j])
+def test_evaluators_are_exactly_periodic(evaluate, tau):
+    # q is taken at tau - round(re tau), exactly, so a shift by 2^20 (exact
+    # here, as re tau + 2^20 is a double) changes no bit of the value
+    assert evaluate(tau + 2**20) == evaluate(tau)
+
+
 def dot_sum(table, q):
     """sum c_k q^k as one numpy dot product against the powers of q: the
     oracle for :func:`analytic._horner`."""

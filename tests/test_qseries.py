@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +121,41 @@ def schoolbook_mul(a, b):
     return QSeries(out)
 
 
+def bytes_split_convolve(a, b, n):
+    """c_0 .. c_n of (sum a_i q^i) * (sum b_j q^j), for ints, by unsigned
+    Kronecker substitution: each factor split into its positive and
+    negative parts, each part packed by joining per-slot `to_bytes`, one
+    int product per sign pair and a slot-by-slot unpack.
+
+    Reference for the signed-slot kernel `qseries._convolve`.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    if not any(a) or not any(b):
+        return [0] * (n + 1)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    size = (n + 1) * width
+
+    def pack(xs):
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in xs), "little")
+
+    def unpack(value):
+        data = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+
+    def split(xs):
+        if min(xs) >= 0:
+            return pack(xs), 0
+        return pack(max(x, 0) for x in xs), pack(max(-x, 0) for x in xs)
+
+    a_pos, a_neg = split(a)
+    b_pos, b_neg = (a_pos, a_neg) if b is a else split(b)
+    plus = unpack(a_pos * b_pos + a_neg * b_neg)
+    if not (a_neg or b_neg):
+        return plus
+    return list(map(operator.sub, plus, unpack(a_pos * b_neg + a_neg * b_pos)))
+
+
 # Coefficients for the kernel: small signed rationals with unlike
 # denominators, zeros, and integers and fractions near 2^200 that need wide
 # slots in the packed product.
@@ -143,6 +179,21 @@ kernel_series = st.one_of(
 )
 
 
+def _boundary_pair(bits, above):
+    """Signed factors whose product's slot bound 3m sits just below 2^bits
+    (at 2^bits - 2 for odd bits) or just above it (2^bits + 1), and is
+    reached by c_2 = 3m, next to c_1 = -2m: the bound sets the slot width,
+    so each side of 2^7, 2^15, 2^31 and 2^63 packs into another size."""
+    m = (2**bits - 1) // 3 + above
+    return QSeries([m, -m, m]), QSeries([1, -1, 1, 0])
+
+
+# the same object twice: a square packs its one factor once, in 2-byte
+# slots and in wide ones
+_signed_square = QSeries([-3, 5, 0, -7])
+_wide_square = QSeries([2**70, -3, -(2**70)])
+
+
 class TestMulKernel:
     @settings(max_examples=400, deadline=None)
     @given(kernel_series, kernel_series)
@@ -152,9 +203,21 @@ class TestMulKernel:
     @example(QSeries([Fraction(-5, 2)]), QSeries([Fraction(7, 3)]))
     @example(QSeries([0, 0, 0, -2]), QSeries([1, 1, 1]))
     @example(QSeries([2**200, -(2**200)] * 5), QSeries([-(2**200), 2**200 - 1] * 5))
+    @example(*_boundary_pair(7, 0))
+    @example(*_boundary_pair(7, 1))
+    @example(*_boundary_pair(15, 0))
+    @example(*_boundary_pair(15, 1))
+    @example(*_boundary_pair(31, 0))
+    @example(*_boundary_pair(31, 1))
+    @example(*_boundary_pair(63, 0))
+    @example(*_boundary_pair(63, 1))
+    @example(_signed_square, _signed_square)
+    @example(_wide_square, _wide_square)
     def test_matches_schoolbook(self, a, b):
         got = a * b
         assert got == schoolbook_mul(a, b)
+        n = min(a.order, b.order)
+        assert qseries._convolve(a._num, b._num, n) == bytes_split_convolve(a._num, b._num, n)
         want_type = int if got._den == 1 else Fraction
         assert all(type(c) is want_type for c in got.coeffs)
 
