@@ -1,9 +1,11 @@
 """Command-line front end: every verification and computation as a subcommand.
 
+`_COMMANDS` has one row per subcommand: its help text, its arguments and its
+handler, and `build_parser` builds the parser from the rows.  A handler
+prints nothing; it returns (JSON payload, text lines, passed).  `run` alone
+prints: one strict JSON document under `--format json`, else the lines.
 Exit codes: 0 when all requested checks pass, 1 on a verification failure
-(or a matrix outside the required subgroup), 2 on a usage error.  Output is
-buffered and emitted once; `--format json` prints a single JSON document
-with the same pass/fail content as the text form.
+(or a matrix outside the required subgroup), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -104,75 +106,6 @@ def _parse_matrix_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="foursquares",
-        description="Exact and numerical checks for the four-squares apparatus",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("expand", help="print exact series coefficients")
-    p.add_argument("name", choices=tuple(_SERIES))
-    p.add_argument("--order", type=int, default=200)
-    p.add_argument("--golden-dir", type=Path, default=None,
-                   help="compare against <dir>/<name>.txt instead of printing only")
-    add_format(p)
-
-    p = sub.add_parser("verify", help="coefficient-exact identity checks")
-    p.add_argument("name", choices=tuple(_VERIFIERS))
-    p.add_argument("--order", type=int, default=200)
-    add_format(p)
-
-    p = sub.add_parser("verify-analytic", help="floating-point law checks")
-    p.add_argument("name", choices=ANALYTIC_CHECKS)
-    p.add_argument("--tau", type=_parse_tau, default=None)
-    p.add_argument("--matrix", type=_parse_matrix_arg, default=None)
-    for field, kind in _CONFIG_FLAGS.items():
-        p.add_argument("--" + field.replace("_", "-"), type=kind, default=None)
-    p._negative_number_matcher = _NEGATIVE_TAU
-    add_format(p)
-
-    p = sub.add_parser("r4", help="four-square count three ways")
-    p.add_argument("n", type=int)
-    add_format(p)
-
-    p = sub.add_parser("reduce-tau", help="reduce a point into the fundamental domain")
-    p.add_argument("tau", type=_parse_tau)
-    p._negative_number_matcher = _NEGATIVE_TAU
-    add_format(p)
-
-    p = sub.add_parser("decompose", help="write a matrix as a word in T and U")
-    p.add_argument("--matrix", type=_parse_matrix_arg, required=True)
-    add_format(p)
-
-    p = sub.add_parser("indices", help="congruence subgroup index computations")
-    add_format(p)
-
-    return parser
-
-
-def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, allow_nan=False), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
-
-
-def _report_payload(reports: list[CheckReport]) -> dict:
-    if len(reports) == 1:
-        return reports[0].to_json_dict()
-    return {
-        "reports": [r.to_json_dict() for r in reports],
-        "pass": all(r.passed for r in reports),
-    }
-
-
 def _forms_call(table: dict, name: str, order: int):
     """The `forms` function that table names for a display name, called at order."""
     if name not in table:
@@ -183,145 +116,97 @@ def _forms_call(table: dict, name: str, order: int):
     return getattr(forms, table[name])(order)
 
 
-def _cmd_expand(args, out) -> int:
+def _reports_result(reports: list[CheckReport]) -> tuple[dict, list[str], bool]:
+    """The handler result for reports: one report's JSON, or all and their verdict."""
+    passed = all(r.passed for r in reports)
+    if len(reports) == 1:
+        payload = reports[0].to_json_dict()
+    else:
+        payload = {"reports": [r.to_json_dict() for r in reports], "pass": passed}
+    return payload, [r.describe() for r in reports], passed
+
+
+def _cmd_expand(args):
     from .forms import first_mismatch
     from .qseries import format_golden, parse_golden
     series = _forms_call(_SERIES, args.name, args.order)
+    payload = {"command": "expand", "name": args.name, "order": args.order}
     if args.golden_dir is None:
         # each coefficient is formatted once: the JSON list reuses the lines
         lines = format_golden(series).splitlines()
-        payload = {
-            "command": "expand",
-            "name": args.name,
-            "order": args.order,
-            "coefficients": [line.partition(": ")[2] for line in lines],
-        }
-        _emit(payload, lines, args.format, out)
-        return 0
+        payload["coefficients"] = [line.partition(": ")[2] for line in lines]
+        return payload, lines, True
     path = args.golden_dir / f"{args.name}.txt"
     golden = parse_golden(path.read_text())
     upto = min(golden.order, series.order)
     mismatch = first_mismatch(series, golden, upto)
-    payload = {
-        "command": "expand",
-        "name": args.name,
-        "order": args.order,
-        "golden": str(path),
-        "compared_through": upto,
-        "pass": mismatch is None,
-    }
-    if mismatch:
-        n, got, want = mismatch
-        payload["witness"] = {"n": n, "got": str(got), "expected": str(want)}
-        lines = [f"FAIL {args.name} vs {path}: coefficient {n} got {got}, expected {want}"]
-    else:
-        lines = [f"PASS {args.name} matches {path} through order {upto}"]
-    _emit(payload, lines, args.format, out)
-    return 0 if mismatch is None else 1
+    payload |= {"golden": str(path), "compared_through": upto, "pass": mismatch is None}
+    if mismatch is None:
+        return payload, [f"PASS {args.name} matches {path} through order {upto}"], True
+    n, got, want = mismatch
+    payload["witness"] = {"n": n, "got": str(got), "expected": str(want)}
+    line = f"FAIL {args.name} vs {path}: coefficient {n} got {got}, expected {want}"
+    return payload, [line], False
 
 
-def _cmd_verify(args, out) -> int:
-    report = _forms_call(_VERIFIERS, args.name, args.order)
-    _emit(_report_payload([report]), [report.describe()], args.format, out)
-    return 0 if report.passed else 1
-
-
-def _analytic_reports(name: str, tau: complex | None, matrix, settings: dict):
+def _cmd_verify_analytic(args):
     from . import analytic
-
+    settings = {f: v for f, v in vars(args).items() if f in _CONFIG_FLAGS and v is not None}
     cfg = analytic.EvalConfig(**settings)
-    check_name, default_tau, default_matrix = _ANALYTIC[name]
-    for flag, value, default in (("--tau", tau, default_tau),
-                                 ("--matrix", matrix, default_matrix)):
-        if value is not None and default is None:
-            raise ValueError(f"verify-analytic {name} takes no {flag}")
-    check = getattr(analytic, check_name)
-    if name == "poisson":
-        return [check(t, cfg) for t in POISSON_POINTS]
-    args = []
-    if default_tau is not None:
-        args.append(default_tau if tau is None else tau)
+    check_name, default_tau, default_matrix = _ANALYTIC[args.name]
     if default_matrix is not None:
         from . import modgroup
-        args.append(getattr(modgroup, default_matrix) if matrix is None else matrix)
-    return [check(*args, cfg)]
+        default_matrix = getattr(modgroup, default_matrix)
+    check_args = []
+    for flag, value, default in (("--tau", args.tau, default_tau),
+                                 ("--matrix", args.matrix, default_matrix)):
+        if default is not None:
+            check_args.append(default if value is None else value)
+        elif value is not None:
+            raise ValueError(f"verify-analytic {args.name} takes no {flag}")
+    check = getattr(analytic, check_name)
+    if args.name == "poisson":
+        return _reports_result([check(t, cfg) for t in POISSON_POINTS])
+    return _reports_result([check(*check_args, cfg)])
 
 
-def _cmd_verify_analytic(args, out) -> int:
-    settings = {f: v for f, v in vars(args).items() if f in _CONFIG_FLAGS and v is not None}
-    reports = _analytic_reports(args.name, args.tau, args.matrix, settings)
-    _emit(
-        _report_payload(reports),
-        [r.describe() for r in reports],
-        args.format,
-        out,
-    )
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _cmd_r4(args, out) -> int:
+def _cmd_r4(args):
     from . import forms
     from .numtheory import jacobi_count, r4_bruteforce
     n = args.n
     brute = r4_bruteforce(n)
     coeff = int(forms.theta4(n)[n])
     jacobi = jacobi_count(n) if n >= 1 else None
-    values = [brute, coeff] + ([jacobi] if jacobi is not None else [])
-    agree = len(set(values)) == 1
-    payload = {
-        "command": "r4",
-        "n": n,
-        "bruteforce": brute,
-        "jacobi_formula": jacobi,
-        "theta4_coefficient": coeff,
-        "pass": agree,
-    }
+    agree = brute == coeff and jacobi in (None, brute)
+    payload = {"command": "r4", "n": n, "bruteforce": brute, "jacobi_formula": jacobi,
+               "theta4_coefficient": coeff, "pass": agree}
     jtext = "-" if jacobi is None else str(jacobi)
-    lines = [
-        f"r4({n}): bruteforce={brute} jacobi={jtext} theta4={coeff} "
-        f"{'AGREE' if agree else 'DISAGREE'}"
-    ]
-    _emit(payload, lines, args.format, out)
-    return 0 if agree else 1
+    line = f"r4({n}): bruteforce={brute} jacobi={jtext} theta4={coeff} "
+    return payload, [line + ("AGREE" if agree else "DISAGREE")], agree
 
 
-def _cmd_reduce_tau(args, out) -> int:
+def _cmd_reduce_tau(args):
     from . import modgroup
     reduced, word = modgroup.reduce_to_fundamental(args.tau)
     mat = word.evaluate()
-    payload = {
-        "command": "reduce-tau",
-        "tau": [args.tau.real, args.tau.imag],
-        "reduced": [reduced.real, reduced.imag],
-        "word": word.format(),
-        "matrix": mat.format(),
-        "in_domain": modgroup.in_fundamental_domain(reduced),
-    }
-    lines = [
-        f"reduced: {reduced.real:.12g} + {reduced.imag:.12g}i",
-        f"word: {word.format()}",
-        f"matrix: {mat.format()}",
-    ]
-    _emit(payload, lines, args.format, out)
-    return 0 if payload["in_domain"] else 1
+    in_domain = modgroup.in_fundamental_domain(reduced)
+    payload = {"command": "reduce-tau", "tau": [args.tau.real, args.tau.imag],
+               "reduced": [reduced.real, reduced.imag], "word": word.format(),
+               "matrix": mat.format(), "in_domain": in_domain}
+    lines = [f"reduced: {reduced.real:.12g} + {reduced.imag:.12g}i",
+             f"word: {word.format()}", f"matrix: {mat.format()}"]
+    return payload, lines, in_domain
 
 
-def _cmd_decompose(args, out) -> int:
+def _cmd_decompose(args):
     from . import modgroup
-    word = modgroup.decompose(args.matrix)
-    payload = {
-        "command": "decompose",
-        "matrix": args.matrix.format(),
-        "word": word.format(),
-    }
-    _emit(payload, [word.format()], args.format, out)
-    return 0
+    word = modgroup.decompose(args.matrix).format()
+    return {"command": "decompose", "matrix": args.matrix.format(), "word": word}, [word], True
 
 
-def _cmd_indices(args, out) -> int:
+def _cmd_indices(args):
     from . import modgroup
     idx = modgroup.congruence_indices()
-    payload = {"command": "indices", **idx}
     lines = [
         f"order of SL(2, Z_4): {idx['sl2_z4_order']}",
         f"index of the principal level-4 subgroup: {idx['gamma4_index']}",
@@ -329,40 +214,81 @@ def _cmd_indices(args, out) -> int:
         f"  the same subgroup inside PSL(2, Z): {idx['gamma1_4_psl_index']}",
         f"index of the upper-triangular-mod-4 subgroup: {idx['gamma0_4_index']}",
     ]
-    _emit(payload, lines, args.format, out)
-    return 0
+    return {"command": "indices", **idx}, lines, True
 
 
-_HANDLERS = {
-    "expand": _cmd_expand,
-    "verify": _cmd_verify,
-    "verify-analytic": _cmd_verify_analytic,
-    "r4": _cmd_r4,
-    "reduce-tau": _cmd_reduce_tau,
-    "decompose": _cmd_decompose,
-    "indices": _cmd_indices,
+_ORDER_ARG = ("--order", dict(type=int, default=200))
+
+# One row per subcommand: help text, arguments as (name, `add_argument` keywords)
+# pairs in help order, and handler.  `build_parser` adds --format to every row.
+_COMMANDS = {
+    "expand": ("print exact series coefficients", (
+        ("name", dict(choices=tuple(_SERIES))),
+        _ORDER_ARG,
+        ("--golden-dir", dict(type=Path,
+                              help="compare against <dir>/<name>.txt instead of printing only")),
+    ), _cmd_expand),
+    "verify": ("coefficient-exact identity checks", (
+        ("name", dict(choices=tuple(_VERIFIERS))),
+        _ORDER_ARG,
+    ), lambda args: _reports_result([_forms_call(_VERIFIERS, args.name, args.order)])),
+    "verify-analytic": ("floating-point law checks", (
+        ("name", dict(choices=ANALYTIC_CHECKS)),
+        ("--tau", dict(type=_parse_tau)),
+        ("--matrix", dict(type=_parse_matrix_arg)),
+        *(("--" + field.replace("_", "-"), dict(type=kind))
+          for field, kind in _CONFIG_FLAGS.items()),
+    ), _cmd_verify_analytic),
+    "r4": ("four-square count three ways", (("n", dict(type=int)),), _cmd_r4),
+    "reduce-tau": ("reduce a point into the fundamental domain", (
+        ("tau", dict(type=_parse_tau)),
+    ), _cmd_reduce_tau),
+    "decompose": ("write a matrix as a word in T and U", (
+        ("--matrix", dict(type=_parse_matrix_arg, required=True)),
+    ), _cmd_decompose),
+    "indices": ("congruence subgroup index computations", (), _cmd_indices),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process from `_COMMANDS`; parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="foursquares",
+        description="Exact and numerical checks for the four-squares apparatus",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+            if options.get("type") is _parse_tau:
+                p._negative_number_matcher = _NEGATIVE_TAU
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     """Parse argv and execute; returns the exit code instead of exiting."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args, out)
-    except MembershipError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
+        payload, lines, passed = _COMMANDS[args.command][-1](args)
+        # printed inside the try: a payload strict JSON cannot hold exits 2
+        if args.format == "json":
+            lines = [json.dumps(payload, allow_nan=False)]
+        for line in lines:
+            print(line, file=out)
+        return 0 if passed else 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=err)
-        return USAGE_ERROR
+        return 1 if isinstance(exc, MembershipError) else USAGE_ERROR
 
 
 def main() -> None:

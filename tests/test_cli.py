@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foursquares
-from foursquares import modgroup
+from foursquares import cli, modgroup
 from foursquares.cli import ANALYTIC_CHECKS, MAX_ORDER, run
 from foursquares.numtheory import R4_MAX_N
 
@@ -285,6 +285,15 @@ class TestDecompose:
         code, _, _ = invoke(["decompose", "--matrix", "[[2,0],[0,2]]"])
         assert code == 2
 
+    @pytest.mark.parametrize("k", [modgroup.MAX_WORD_LETTERS // 2 + 1, 10**9])
+    def test_word_past_ceiling_is_usage_error(self, k):
+        # the k-th power of T U^-1 is a word of 2k letters
+        power = (modgroup.MAT_T * modgroup.MAT_U.inv()) ** k
+        code, out, err = invoke(["decompose", "--matrix", power.format()])
+        assert code == 2 and out == ""
+        assert err == (f"error: the word for {power.format()} has more than "
+                       f"{modgroup.MAX_WORD_LETTERS} letters\n")
+
 
 class TestIndices:
     def test_values(self):
@@ -294,6 +303,70 @@ class TestIndices:
         assert doc["sl2_z4_order"] == 48
         assert doc["gamma1_4_index"] == 12
         assert doc["gamma1_4_psl_index"] == 6
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite {name} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+# Per row of the command table, (argv, exit code) cases that pass, fail or
+# are refused; "{bad}" stands for a golden directory whose phi has one wrong
+# coefficient.
+_CONTRACT_CASES = {
+    "expand": [(["expand", "psi", "--order", "30"], 0),
+               (["expand", "theta4", "--order", "60", "--golden-dir", GOLDEN_DIR], 0),
+               (["expand", "phi", "--order", "40", "--golden-dir", "{bad}"], 1)],
+    "verify": [(["verify", "lambert", "--order", "40"], 0),
+               (["verify", "jacobi", "--order", "0"], 2)],
+    "verify-analytic": [(["verify-analytic", "poisson"], 0),
+                        (["verify-analytic", "quasimodular"], 0),
+                        (["verify-analytic", "quasimodular", "--tol", "1e-300"], 1),
+                        (["verify-analytic", "poisson", "--tol", "1e-300"], 1),
+                        (["verify-analytic", "xi", "--matrix", "[[1,0],[1,1]]"], 1)],
+    "r4": [(["r4", "0"], 0), (["r4", "12"], 0)],
+    "reduce-tau": [(["reduce-tau", "-6.7,3.4"], 0)],
+    "decompose": [(["decompose", "--matrix", "[[-7,2],[-4,1]]"], 0),
+                  (["decompose", "--matrix", "[[0,-1],[1,0]]"], 1)],
+    "indices": [(["indices"], 0)],
+}
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_every_command_keeps_one_contract(command, tmp_path):
+    lines = Path(GOLDEN_DIR, "phi.txt").read_text().splitlines()
+    lines[5] = "5: 7/3"
+    (tmp_path / "phi.txt").write_text("\n".join(lines) + "\n")
+    for argv, expected in _CONTRACT_CASES[command]:
+        argv = [str(tmp_path) if a == "{bad}" else a for a in argv]
+        tcode, tout, terr = invoke(argv)
+        jcode, jout, jerr = invoke([*argv, "--format", "json"])
+        assert tcode == jcode == expected and terr == jerr, argv
+        if jerr:
+            # refused: a matrix outside the subgroup (1) or a usage error (2)
+            assert jerr.startswith("error: ") and tout == jout == "", argv
+            continue
+        assert tout and jout.endswith("\n") and jout.count("\n") == 1, argv
+        doc = _strict_json(jout)
+        reports = doc.get("reports", [doc])
+        verdict = all(r.get("pass", r.get("in_domain", True)) for r in reports)
+        assert (jcode == 0) is verdict and doc.get("pass", verdict) is verdict, argv
+
+
+def test_only_run_prints_so_bad_json_exits_2(monkeypatch):
+    help_text, arguments, handler = cli._COMMANDS["indices"]
+
+    def nan_payload(args):
+        payload, lines, passed = handler(args)
+        return {**payload, "ratio": float("nan")}, lines, passed
+
+    monkeypatch.setitem(cli._COMMANDS, "indices", (help_text, arguments, nan_payload))
+    code, out, err = invoke(["indices", "--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    code, out, _ = invoke(["indices"])
+    assert code == 0 and out.startswith("order of SL(2, Z_4): 48")
 
 
 class TestExitCodeContract:
@@ -405,13 +478,19 @@ _NO_FORMS = ("dataclasses", "foursquares.forms", "foursquares.qseries", "fractio
 # imports dataclasses, and verify, expand and r4 import no numpy.  Only
 # ode-solution and weight1 of the analytic checks evaluate g or h, whose
 # tables come from `forms`.
-@pytest.mark.parametrize("argvs, absent", [
+_LOAD_CASES = [
     ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"]],
      ("dataclasses", "foursquares.modgroup", "numpy")),
     ([["reduce-tau", "5.3,2"], ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"],
       *[["verify-analytic", c] for c in ANALYTIC_CHECKS if c not in ("ode-solution", "weight1")]],
      _NO_FORMS),
     ([["verify-analytic", "ode-solution"], ["verify-analytic", "weight1"]], ("dataclasses",)),
-], ids=["exact", "group-and-laws", "weight1-solutions"])
+]
+
+
+@pytest.mark.parametrize("argvs, absent", _LOAD_CASES,
+                         ids=["exact", "group-and-laws", "weight1-solutions"])
 def test_subcommands_load_only_the_modules_they_run(argvs, absent):
+    # together the cases run every row of the command table
+    assert {argv[0] for case, _ in _LOAD_CASES for argv in case} == set(cli._COMMANDS)
     assert _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=absent)) == "[]"

@@ -10,6 +10,7 @@ from foursquares.modgroup import (
     MAT_S,
     MAT_T,
     MAT_U,
+    MAX_WORD_LETTERS,
     Mat2Z,
     MembershipError,
     congruence_indices,
@@ -217,6 +218,16 @@ class TestDecompose:
         m = base ** 40
         word = decompose(m)
         assert word.evaluate() == m
+
+    def test_word_length_ceiling(self):
+        # the k-th power of T U^-1 is a word of 2k letters
+        base = MAT_T * MAT_U.inv()
+        m = base ** (MAX_WORD_LETTERS // 2)
+        word = decompose(m)
+        assert len(word) == MAX_WORD_LETTERS
+        assert word.evaluate() == m
+        with pytest.raises(ValueError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            decompose(base ** (MAX_WORD_LETTERS // 2 + 1))
 
     def test_rejects_non_members(self):
         for m in (MAT_S, Mat2Z(-1, 0, 0, -1), Mat2Z(1, 0, 2, 1)):
