@@ -354,6 +354,8 @@ def _row_sum_left(tau: complex, power: int, window: int = _ROW_WINDOW) -> tuple[
     t = tau - round(tau.real)
     terms = [(t + d) ** -power for d in range(-window, window + 1)]
     a, moduli = window + 1, (4 * power + 8) * sum(map(abs, terms))
+    if not math.isfinite(moduli):  # (t + d)^k overflows from im t ~ 1e77 (k = 4)
+        raise ValueError(f"the row sum at im(tau) = {t.imag:g} leaves the range of double precision")
     for z in (a + t, a - t):
         w = 1.0 / z
         w2, aw = w * w, abs(w)

@@ -14,7 +14,9 @@ the upper half plane into the fundamental domain
     D = { s + it : 0 <= s <= 1, |tau - 1/4| >= 1/4, |tau - 3/4| >= 1/4 }
 
 returning the word that certifies the reduction.  Matrices and words are
-exact; only the points are floating complex numbers.
+exact; only the points are floating complex numbers.  Two rules stop a word
+with ValueError: neither builder writes past MAX_WORD_LETTERS letters, and
+the reduction stops once a disc step fails to raise the height of the point.
 """
 
 from __future__ import annotations
@@ -27,14 +29,10 @@ from .report import MembershipError, Record
 # Boundary membership of D is resolved in favour of "inside".
 DOMAIN_EPS = 1e-12
 
-# Reduction is finite by proper discontinuity; the bound only guards
-# floating-point edge cases very close to the real axis.
-REDUCE_MAX_STEPS = 10**6
-
-# Ceiling on the letters of a `decompose` word.  The descent costs about 5 us
-# and 0.3 KB per letter, and the k-th power of T U^-1 needs 2k letters, so
-# an entry near 10^9 would otherwise run for hours.  At the ceiling, writing
-# and evaluating a word take about 1.6 s and 72 MB on a 2-core VM.
+# Ceiling on the letters either word builder writes (`decompose`,
+# `reduce_to_fundamental`).  The k-th power of T U^-1 needs 2k letters, so a
+# `decompose` entry near 10^9 would otherwise run for hours.  At the ceiling,
+# writing and evaluating a word take 1.3-1.7 s and 43 MB on a 2-core VM.
 MAX_WORD_LETTERS = 200_000
 
 
@@ -158,6 +156,11 @@ def congruence_indices() -> dict[str, int]:
 _WORD_LETTER_RE = re.compile(r"([TU])(?:\^(-?\d+))?")
 
 
+def _letter(gen: str, k: int) -> Mat2Z:
+    """The matrix of the letter gen^k: T^k = [[1,k],[0,1]], U^k = [[1,0],[4k,1]]."""
+    return Mat2Z(1, k, 0, 1) if gen == "T" else Mat2Z(1, 0, 4 * k, 1)
+
+
 class GenWord(Record):
     """A product of signed powers of T and U, e.g. T^2 U^-1 T^3.
 
@@ -168,34 +171,22 @@ class GenWord(Record):
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        merged: list[list] = []
+        merged: list[tuple[str, int]] = []
         for gen, exp in letters:
             if gen not in ("T", "U"):
                 raise ValueError(f"unknown generator {gen!r}")
-            if exp == 0:
-                continue
             if merged and merged[-1][0] == gen:
-                merged[-1][1] += exp
-                if merged[-1][1] == 0:
-                    merged.pop()
-            else:
-                merged.append([gen, exp])
-        self.letters = tuple((g, e) for g, e in merged)
+                exp += merged.pop()[1]
+            if exp:
+                merged.append((gen, exp))
+        self.letters = tuple(merged)
 
     def evaluate(self) -> Mat2Z:
         """The ordered product of the letter matrices (exact)."""
         result = IDENTITY
         for gen, exp in self.letters:
-            if gen == "T":
-                result = result * Mat2Z(1, exp, 0, 1)
-            else:
-                result = result * Mat2Z(1, 0, 4 * exp, 1)
+            result = result * _letter(gen, exp)
         return result
-
-    def __mul__(self, other: "GenWord") -> "GenWord":
-        if not isinstance(other, GenWord):
-            return NotImplemented
-        return GenWord(self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -246,45 +237,33 @@ def decompose(m: Mat2Z) -> GenWord:
     """
     if not in_gamma1_4(m):
         raise MembershipError(f"{m.format()} is not congruent to [[1,*],[0,1]] mod 4")
-    applied: list[tuple[str, int]] = []
+    letters: list[tuple[str, int]] = []
+    cur = m
 
     def apply(gen: str, k: int) -> None:
         # Letters alternate between U and T: a zero step after a nonzero one
         # would need |c| = 2|a|, which 4 | c and odd a rule out.  So no two
-        # letters merge, and len(applied) is the length of the word.
-        if len(applied) == MAX_WORD_LETTERS:
+        # letters merge, len(letters) is the length of the word, and every
+        # round of the loop below writes a letter, so the ceiling ends it.
+        nonlocal cur
+        if not k:
+            return
+        if len(letters) == MAX_WORD_LETTERS:
             raise ValueError(f"the word for {m.format()} has more than "
                              f"{MAX_WORD_LETTERS} letters")
-        applied.append((gen, k))
+        # cur = s_r ... s_1 m, so m = s_1^-1 ... s_r^-1 cur: same order, negated.
+        letters.append((gen, -k))
+        cur = _letter(gen, k) * cur
 
-    cur = m
-    # |c| stays divisible by 4 and strictly shrinks at least every second
-    # round, so this bound is unreachable for any valid input.  (Powers of
-    # the parabolic element T U^-1 really do need about |c|/4 rounds; their
-    # canonical words are that long.)
-    step_bound = abs(cur.c) // 2 + 8
-    steps = 0
     while cur.c != 0:
-        steps += 1
-        if steps > step_bound:
-            raise RuntimeError(f"descent failed to terminate for {m.format()}")
-        k = -_nearest(cur.c, 4 * cur.a)
-        if k:
-            apply("U", k)
-            cur = Mat2Z(1, 0, 4 * k, 1) * cur
-        if cur.c == 0:
-            break
-        k = -_nearest(cur.a, cur.c)
-        if k:
-            apply("T", k)
-            cur = Mat2Z(1, k, 0, 1) * cur
+        apply("U", -_nearest(cur.c, 4 * cur.a))
+        if cur.c:
+            apply("T", -_nearest(cur.a, cur.c))
     # cur = [[a, b], [0, d]] with ad = 1 and a = d = 1 mod 4, so a = d = 1.
     if cur.a != 1:
         raise RuntimeError(f"descent left a non-translation remainder for {m.format()}")
-    if cur.b:
-        apply("T", -cur.b)
-    # cur = s_r ... s_1 m, so m = s_1^-1 ... s_r^-1 cur: same order, negated.
-    return GenWord([(gen, -exp) for gen, exp in applied])
+    apply("T", -cur.b)
+    return GenWord(letters)
 
 
 # ------------------------------------------------------- fundamental domain
@@ -302,40 +281,56 @@ def in_fundamental_domain(tau: complex, eps: float = DOMAIN_EPS) -> bool:
     return True
 
 
-_LEFT_DISC_STEP = GenWord([("U", -1)])
-_RIGHT_DISC_STEP = GenWord([("U", 1), ("T", -1)])
-
-
 def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
     """Move tau into D; returns (tau', w) with tau' = mobius(w.evaluate(), tau).
 
     Loop: translate the real part into [0, 1) by a power of T; if the point
     is strictly inside the left removed disc apply U^-1, if inside the right
-    one apply U T^-1; otherwise stop.  Each disc step strictly increases the
-    imaginary part (|c tau + d| < 1 inside the discs), and only finitely
-    many denominators satisfy that, so the loop terminates.  The word is
-    exact; the current point is always recomputed from the accumulated
-    matrix so the certificate replays to the returned point by construction.
+    one apply U T^-1; otherwise stop.  Each disc step strictly raises the
+    height im(w tau) = im(tau) / |c tau + d|^2 (|c tau + d| < 1 inside the
+    discs), and only finitely many denominators satisfy that, so the loop
+    terminates.  The word is exact; the current point is always recomputed
+    from the accumulated matrix so the certificate replays to the returned
+    point by construction.
+
+    So a disc step that leaves |c tau + d| no smaller than the last one did
+    raises ValueError: rounding has misplaced the point, as when im(tau) is
+    tiny.  |c tau + d| comes from w's exact bottom row, which T steps leave
+    alone, and tau's exact binary value, to a few roundings; im(cur) can be
+    off by 1e-5 relative near a cusp.  A word past MAX_WORD_LETTERS letters
+    raises ValueError too.
     """
     if tau.imag <= 0:
         raise ValueError("tau must satisfy im(tau) > 0")
-    word = GenWord()
+    num, den = tau.real.as_integer_ratio()
+    applied: list[tuple[str, int]] = []  # letters in the order they act
     mat = IDENTITY
     cur = tau
-    for _ in range(REDUCE_MAX_STEPS):
+    size = 1.0  # |c tau + d| of the identity, and after the last disc step
+
+    def apply(gen: str, k: int) -> None:
+        nonlocal mat
+        applied.append((gen, k))
+        mat = _letter(gen, k) * mat
+
+    while True:
         shift = -int(cur.real // 1)
         if shift:
-            step = GenWord([("T", shift)])
-            word = step * word
-            mat = step.evaluate() * mat
+            apply("T", shift)
             cur = mobius(mat, tau)
         if abs(cur - 0.25) < 0.25 - DOMAIN_EPS:
-            step = _LEFT_DISC_STEP
+            apply("U", -1)
         elif abs(cur - 0.75) < 0.25 - DOMAIN_EPS:
-            step = _RIGHT_DISC_STEP
+            apply("T", -1)
+            apply("U", 1)
         else:
-            return cur, word
-        word = step * word
-        mat = step.evaluate() * mat
+            # The word acts last letter first, so it is the reverse.
+            return cur, GenWord(reversed(applied))
         cur = mobius(mat, tau)
-    raise ValueError(f"reduction did not reach D within {REDUCE_MAX_STEPS} steps for tau = {tau}")
+        last, size = size, abs(complex((mat.c * num + mat.d * den) / den, mat.c * tau.imag))
+        if size >= last:
+            raise ValueError(f"reduction of tau = {tau} stalled: double precision "
+                             f"misplaced the point (im(tau) = {tau.imag:g})")
+        if len(applied) > MAX_WORD_LETTERS:
+            raise ValueError(f"the reduction of tau = {tau} writes more than "
+                             f"{MAX_WORD_LETTERS} letters")

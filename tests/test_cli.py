@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,24 @@ class TestVerifyAnalytic:
             doc = json.loads(out)
             assert doc["error"] < doc["tol"] < 1e-13
 
+    @pytest.mark.parametrize("tau", ["0.3,1e100", "0.3,1e300"])
+    @pytest.mark.parametrize("name", ANALYTIC_CHECKS)
+    def test_far_above_the_axis_is_finite_or_usage_error(self, name, tau):
+        # (tau + d)^-4 overflows to NaN from about im(tau) = 1e77 and
+        # (tau + d)^-2 from 1e154: a check answers in finite numbers or
+        # exits 2, in text and in strict JSON.
+        def reject(constant):
+            raise AssertionError(f"non-finite {constant} in JSON")
+
+        for fmt in ("text", "json"):
+            code, out, err = invoke(["verify-analytic", name, "--tau", tau, "--format", fmt])
+            assert code in (0, 2)
+            assert not re.search(r"\b(nan|inf|infinity)\b", out + err, re.IGNORECASE)
+            if code == 2:
+                assert out == "" and err.startswith("error: ")
+            elif fmt == "json":
+                json.loads(out, parse_constant=reject)
+
     @pytest.mark.parametrize("argv", [
         ["g4", "--lattice-radius", "10001"],
         ["g4", "--lattice-radius", "100000000"],
@@ -258,9 +277,9 @@ class TestReduceTau:
             code, out, _ = invoke(["reduce-tau", text])
             assert code == 2 and out == ""
 
-    def test_step_limit_is_usage_error(self, monkeypatch):
-        # A point this close to the cusp 1/2 outruns the step limit.
-        monkeypatch.setattr(modgroup, "REDUCE_MAX_STEPS", 50)
+    def test_step_limit_is_usage_error(self):
+        # Near the cusp 1/2 double precision stalls the descent; it stops
+        # at once instead of cycling.
         code, out, err = invoke(["reduce-tau", "0.5939742584042348,8.103651583373406e-13"])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err

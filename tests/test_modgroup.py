@@ -1,10 +1,13 @@
 """Group algebra, membership, word problem, reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from foursquares import modgroup
 from foursquares.modgroup import (
+    DOMAIN_EPS,
     GenWord,
     IDENTITY,
     MAT_S,
@@ -188,7 +191,7 @@ class TestWords:
         rng = random.Random(5)
         for _ in range(50):
             w = random_gamma1_word(rng, max_len=8)
-            assert (w * word_inverse(w)).evaluate() == IDENTITY
+            assert GenWord(w.letters + word_inverse(w).letters).evaluate() == IDENTITY
             assert word_inverse(w).evaluate() == w.evaluate().inv()
 
 
@@ -269,6 +272,104 @@ class TestReduce:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             reduce_to_fundamental(0.3 - 1j)
+
+
+def stepwise_reduce(tau, max_steps, keep_word=True):
+    """The reduction as first written, kept as an oracle: it re-forms the
+    whole word at every step and stops only after max_steps steps.  That
+    costs time quadratic in the word's length; keep_word=False skips the
+    word and returns the matrix in its place."""
+    if tau.imag <= 0:
+        raise ValueError("tau must satisfy im(tau) > 0")
+    word = GenWord()
+    mat = IDENTITY
+    cur = tau
+    for _ in range(max_steps):
+        shift = -int(cur.real // 1)
+        if shift:
+            step = GenWord([("T", shift)])
+            if keep_word:
+                word = GenWord(step.letters + word.letters)
+            mat = step.evaluate() * mat
+            cur = mobius(mat, tau)
+        if abs(cur - 0.25) < 0.25 - DOMAIN_EPS:
+            step = GenWord([("U", -1)])
+        elif abs(cur - 0.75) < 0.25 - DOMAIN_EPS:
+            step = GenWord([("U", 1), ("T", -1)])
+        else:
+            return cur, word if keep_word else mat
+        if keep_word:
+            word = GenWord(step.letters + word.letters)
+        mat = step.evaluate() * mat
+        cur = mobius(mat, tau)
+    raise ValueError(f"reduction did not reach D within {max_steps} steps for tau = {tau}")
+
+
+def exactly_in_domain(m, tau):
+    """Whether m tau lies in D, decided in rationals from tau's exact value."""
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    size = (m.c * x + m.d) ** 2 + (m.c * y) ** 2
+    re = ((m.a * x + m.b) * (m.c * x + m.d) + m.a * m.c * y * y) / size
+    im2 = (y / size) ** 2
+    return (0 <= re <= 1 and (re - Fraction(1, 4)) ** 2 + im2 >= Fraction(1, 16)
+            and (re - Fraction(3, 4)) ** 2 + im2 >= Fraction(1, 16))
+
+
+# A word of 1,470 letters; the point where the step limit once ran for 20 s
+# (it returns to the same matrix through U^-1, T, U T^-1); a point whose
+# stepwise reduction ends exactly inside the right disc; and two points where
+# im(cur), off by up to 1e-5 relative near a cusp, falls at a disc step while
+# the exact height rises.
+LONG_WORD_TAU = complex(-9.166660846176946, 1.364472797317715e-05)
+CYCLING_TAU = complex(0.5939742584042348, 8.103651583373406e-13)
+MISPLACED_TAU = complex(7.388888794580026, 1.5166611242424763e-07)
+NOISY_HEIGHT_TAUS = (complex(-9.354748611209336, 1.0457520996905653e-08),
+                     complex(-6.928567913357345, 1.5782268774271832e-06))
+
+
+class TestReduceAgainstStepwise:
+    @staticmethod
+    def outcome(reduce, tau):
+        try:
+            reduced, word = reduce(tau)
+        except ValueError:
+            return None
+        return reduced, word.letters
+
+    def test_seeded_points_match_the_oracle(self):
+        rng = random.Random(19)
+        points = [complex(rng.uniform(-10, 10), 10 ** rng.uniform(-8, 1)) for _ in range(400)]
+        for tau in [*points, LONG_WORD_TAU, CYCLING_TAU, *NOISY_HEIGHT_TAUS]:
+            want = self.outcome(lambda t: stepwise_reduce(t, 20_000), tau)
+            got = self.outcome(reduce_to_fundamental, tau)
+            if got is None and want is not None:
+                # only where the oracle's answer is itself outside D
+                mat = GenWord(want[1]).evaluate()
+                assert not exactly_in_domain(mat, tau), tau
+            else:
+                assert got == want, tau
+
+    def test_long_word(self):
+        _, word = reduce_to_fundamental(LONG_WORD_TAU)
+        assert len(word) == 1470
+        assert exactly_in_domain(word.evaluate(), LONG_WORD_TAU)
+
+    def test_cycle_stops_at_once(self):
+        with pytest.raises(ValueError, match="double precision .*im\\(tau\\) = 8.10365e-13"):
+            reduce_to_fundamental(CYCLING_TAU)
+
+    def test_misplaced_point_stops(self):
+        # its word has 18,257 letters, too long for the oracle's word
+        reduced, mat = stepwise_reduce(MISPLACED_TAU, 20_000, keep_word=False)
+        assert in_fundamental_domain(reduced)
+        assert not exactly_in_domain(mat, MISPLACED_TAU)
+        with pytest.raises(ValueError, match="double precision"):
+            reduce_to_fundamental(MISPLACED_TAU)
+
+    def test_word_ceiling(self, monkeypatch):
+        monkeypatch.setattr(modgroup, "MAX_WORD_LETTERS", 1000)
+        with pytest.raises(ValueError, match="more than 1000 letters"):
+            reduce_to_fundamental(LONG_WORD_TAU)
 
 
 class TestDomainMembership:
