@@ -9,22 +9,23 @@ exactly rounded), so every reported error is deterministic for a given
 configuration and point.
 
 Series evaluation needs |q| bounded away from 1.  Checks that move points
-with a group element reject configurations whose image drops below the
-documented floor (im >= 0.05, or 0.1 for the second-derivative checks);
-the cusp sweep works closer to the real axis and relies on the adaptive
-term count.
+with a group element reject images below the documented floor (im >= 0.05,
+or 0.1 for the second-derivative checks), g and h raise where rounding may
+reach 1e-10 of their sum, and the cusp sweep, closer to the real axis,
+relies on the adaptive term count.
 
-Truncated q-series are summed by Horner's rule in plain floats (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 5).  A lattice row
-sums (tau+d)^-k over a window of d and both tails past it by the
-Euler-Maclaurin formula, so the row sums and :func:`G4_lattice` need no
-cutoff in d and carry error bounds at rounding level.
+One Horner loop sums every dense q-series and returns it with a bound, its
+tail plus a running rounding bound (Higham, *Accuracy and Stability of
+Numerical Algorithms*, §5.1).  A lattice row sums (tau+d)^-k over a window
+of d and both tails past it by the Euler-Maclaurin formula, so the row sums
+and :func:`G4_lattice` need no cutoff in d and carry rounding-level bounds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -40,10 +41,10 @@ _U = 2.0**-53  # unit roundoff of a double
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 # Hard ceiling on adaptive series truncation: it bounds each table's size
-# and each sum's time, not its accuracy.  The weight-1 sums reach it below
-# im(tau) ~ 0.005 but lose every digit to rounding well above that (ROADMAP
-# item 3: g_eval is off by 1.1e-7 at 0.1+0.02i and by 2.1 at 0.1+0.012i).
-_MAX_TERMS = 20_000
+# and each sum's time, not its accuracy.  Rounding eats the weight-1 sums'
+# digits well above it, so g and h raise where their sum's bound passes
+# _WEIGHT1_FLOOR of it, under ode-solution's 1e-9 (ROADMAP item 3).
+_MAX_TERMS, _WEIGHT1_FLOOR = 20_000, 1e-10
 
 # Default tolerances of the checks whose error is a rounding residual: laws
 # sit at 1e-8 or better (double precision, |q| <= exp(-2 pi * 0.05) worst
@@ -139,41 +140,54 @@ def _sigma3_np(limit: int) -> tuple[float, ...]:
     return tuple(map(float, sigma3_table(limit)))
 
 
-def _terms_needed(absq: float, log_coeff_bound) -> int:
-    """The term count of every truncated sum: the smallest n in 256, 512,
-    1024, ... with coeff_bound(n) * absq^n below 1e-18, or raise.
-
-    log_coeff_bound(n) must upper-bound the log of the coefficient
-    magnitude.  Overshooting is harmless (the extra terms are below
-    rounding), and powers of two keep each cached table at one of few sizes.
-    """
+def _terms_needed(absq: float, log_coeff_bound) -> tuple[int, int]:
+    """(N, size): size, the tables' cache key, is the least of 256, 512, ...
+    with coeff_bound(size) absq^size < 1e-18, and N the least n that meets
+    it, by bisection; or raise.  log_coeff_bound must bound log |c_n|, with
+    coeff_bound(n+1)/coeff_bound(n) never growing, so every n >= N meets it."""
     if absq >= 1.0:
         raise ValueError("im(tau) too small: |q| >= 1")
-    target = math.log(1e-18)
     logq = math.log(absq) if absq > 0 else -math.inf
-    n = 256
-    while n <= _MAX_TERMS:
-        if log_coeff_bound(n) + n * logq < target:
-            return n
-        n *= 2
+    fits = lambda n: log_coeff_bound(n) + n * logq < math.log(1e-18)
+    size = 256
+    while size <= _MAX_TERMS:
+        if fits(size):
+            return 1 + bisect_left(range(1, size), True, key=fits), size
+        size *= 2
     raise ValueError("im(tau) too small for double-precision series evaluation")
 
 
-def _truncated_sum(tau: complex, table, log_coeff_bound) -> complex:
-    """sum c_n q^n over 0 <= n <= N at q = exp(2 pi i tau), with c = table(N).
-
-    The tail bound alone sets N (see :func:`_terms_needed`).
-    """
+def _truncated_sum(tau: complex, table, log_coeff_bound) -> tuple[complex, float]:
+    """sum c_n q^n at q = exp(2 pi i tau) over n <= N, c = table(size), (N,
+    size) from :func:`_terms_needed`, and a bound on its distance from the
+    series at tau: the tail B(N+1) |q|^(N+1) / (1 - r), B = exp(log_coeff_bound)
+    and r = B(N+2) |q| / B(N+1) < 1 the largest later ratio; Horner's 1.01 u
+    mu (:func:`_horner`); and (e + 2) u (mu - |y_0|) / 4 = (e + 2) u sum_(k>=1)
+    |q|^k |y_k|, over both e u |sum k c_k q^k|, from q's error, e = 1.35 |2 pi
+    t| + 3 (pi, 2 pi t and exp rounded; t = tau - round(re tau)), and u sum_(k>=1)
+    |c_k q^k|, from rounding the tables' c_k (c_0 is exact)."""
     q = _q_from_tau(tau)
-    return _horner(table(_terms_needed(abs(q), log_coeff_bound)), q)
+    absq = abs(q)
+    n, size = _terms_needed(absq, log_coeff_bound)
+    value, mu = _horner(table(size)[:n + 1], q)
+    head = log_coeff_bound(n + 1)
+    tail = math.exp(head) * absq ** (n + 1) / (1.0 - math.exp(log_coeff_bound(n + 2) - head) * absq)
+    e = 1.35 * 2.0 * _PI * abs(tau - round(tau.real)) + 3.0
+    return value, tail + _U * (1.01 * mu + (e + 2.0) * (mu - abs(value)) / 4.0)
 
 
-def _horner(coeffs, q: complex) -> complex:
-    """sum c_k q^k by Horner's rule, from the highest power down."""
-    acc = 0j
+def _horner(coeffs, q: complex) -> tuple[complex, float]:
+    """sum c_k q^k by Horner's rule, from the highest power down, and mu, a
+    bound on its rounding in units of u (Higham §5.1, Algorithm 5.1, made
+    complex): y q rounds by at most sqrt(2) gamma_2 |y q| <= 3u |y q| (§3.6)
+    and adding the real c by u |y q + c|, so y_k is off by at most u mu_k,
+    mu_k = |q| (mu_(k+1) + 3 |y_(k+1)|) + |y_k|, to first order."""
+    absq = abs(q)
+    acc, mu, prev = 0j, 0.0, 0.0
     for c in reversed(coeffs):
         acc = acc * q + c
-    return acc
+        mu = absq * (mu + 3.0 * prev) + (prev := abs(acc))
+    return acc, mu
 
 
 # ---------------------------------------------------------------- evaluators
@@ -213,17 +227,23 @@ def L_eval(tau: complex) -> complex:
     tau = _require_uhp(tau)
     return 1.0 - 24.0 * _truncated_sum(
         tau, _sigma_np, lambda m: math.log(24.0) + 2.0 * math.log(m)
-    )
+    )[0]
 
 
 def _sigma3_tail(m: int) -> float:
     return math.log(300.0) + 3.0 * math.log(m)  # log of 300 m^3 >= 240 sigma3(m)
 
 
+def _M_sum(tau: complex) -> tuple[complex, float]:
+    """M at tau and 240 times the bound :func:`_truncated_sum` gives its sum."""
+    tau = _require_uhp(tau)
+    total, bound = _truncated_sum(tau, _sigma3_np, _sigma3_tail)
+    return 1.0 + 240.0 * total, 240.0 * bound
+
+
 def M_eval(tau: complex) -> complex:
     """1 + 240 sum sigma3(n) q^n; tail bound 300 n^3 |q|^n."""
-    tau = _require_uhp(tau)
-    return 1.0 + 240.0 * _truncated_sum(tau, _sigma3_np, _sigma3_tail)
+    return _M_sum(tau)[0]
 
 
 @lru_cache(maxsize=None)
@@ -244,16 +264,31 @@ def _weight1_bound(n: int) -> float:
     return 3.63 * math.sqrt(n)
 
 
+def _weight1(sign: int, tau: complex, table, log_coeff_bound=_weight1_bound,
+             floor: bool = True) -> complex:
+    """exp(sign i pi tau / 6) sum c_n q^n: g (-1, c = psi), h (+1, phi) and
+    their second derivatives.  With floor, raise where the sum's bound passes
+    _WEIGHT1_FLOOR of its modulus: psi and phi never vanish, but the second
+    derivatives' sums, (pi^2/36) E4 times them, vanish where E4 does."""
+    tau = _require_uhp(tau)
+    total, bound = _truncated_sum(tau, table, log_coeff_bound)
+    if floor and not bound <= _WEIGHT1_FLOOR * abs(total):
+        raise ValueError(f"im(tau) = {tau.imag:g} too small: the weight-1 sum's bound "
+                         f"{bound:.1e} passes {_WEIGHT1_FLOOR:g} of its modulus {abs(total):.1e}")
+    try:
+        return cmath.exp(sign * 1j * _PI * tau / 6.0) * total
+    except OverflowError:
+        raise ValueError(f"exp(pi im(tau) / 6) overflows at im(tau) = {tau.imag:g}") from None
+
+
 def g_eval(tau: complex) -> complex:
     """g(tau) = exp(-i pi tau / 6) * psi(q), the nowhere-zero solution."""
-    tau = _require_uhp(tau)
-    return cmath.exp(-1j * _PI * tau / 6.0) * _truncated_sum(tau, _psi_np, _weight1_bound)
+    return _weight1(-1, tau, _psi_np)
 
 
 def h_eval(tau: complex) -> complex:
     """h(tau) = exp(+i pi tau / 6) * phi(q), the companion solution."""
-    tau = _require_uhp(tau)
-    return cmath.exp(1j * _PI * tau / 6.0) * _truncated_sum(tau, _phi_np, _weight1_bound)
+    return _weight1(1, tau, _phi_np)
 
 
 def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
@@ -327,7 +362,11 @@ def check_poisson(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
 def check_theta_transform(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """theta(-1/4tau)^4 = -4 tau^2 theta(tau)^4, relative error."""
     tau = _require_uhp(tau)
-    lhs = theta_eval(-1.0 / (4.0 * tau)) ** 4
+    inv = -1.0 / (4.0 * tau)
+    try:
+        lhs = theta_eval(inv) ** 4
+    except ValueError as exc:
+        raise ValueError(f"at -1/(4 tau), im {inv.imag:.3g}, for im(tau) = {tau.imag:g}: {exc}") from None
     rhs = -4.0 * tau * tau * theta_eval(tau) ** 4
     return _law_report("theta-transformation", abs(lhs - rhs) / abs(rhs), cfg, tau=tau)
 
@@ -371,39 +410,17 @@ def _row_sum_left(tau: complex, power: int, window: int = _ROW_WINDOW) -> tuple[
     return value, remainder + _U * moduli
 
 
-def _row_sum_right(tau: complex, weight: int) -> tuple[complex, float, float]:
-    """sum m^weight q^m to its tail bound m^weight |q|^m; mu, a bound on
-    its rounding error in units of u, from the same Horner pass (Higham
-    §5.1, Algorithm 5.1, made complex): y q rounds by at most
-    sqrt(2) gamma_2 |y q| <= 3u |y q| (§3.6) and adding the real c by
-    u |y q + c|, so the error of y_k is at most u mu_k, mu_k = |q| (mu_(k+1)
-    + 3 |y_(k+1)|) + |y_k|, to 1 + O(n u);
-    and the tail bound sum_(m>N) m^weight |q|^m <= (N+1)^weight |q|^(N+1)
-    / (1 - r), r = ((N+2)/(N+1))^weight |q| < 1 by N's tail criterion.
-    """
-    q = _q_from_tau(tau)
-    absq = abs(q)
-    n = _terms_needed(absq, lambda m: weight * math.log(m))
-    acc, mu = 0j, 0.0
-    for m in range(n, -1, -1):
-        prev = abs(acc)
-        acc = acc * q + float(m**weight)
-        mu = absq * (mu + 3.0 * prev) + abs(acc)
-    ratio = ((n + 2) / (n + 1)) ** weight * absq
-    return acc, mu, (n + 1) ** weight * absq ** (n + 1) / (1.0 - ratio)
-
-
 def _row_sum_error(tau: complex, power: int, coeff: float) -> tuple[float, float]:
     """|sum over all d of (tau+d)^-power - coeff sum m^(power-1) q^m|, and
     its bound where the identity holds: the left side's from
-    :func:`_row_sum_left` plus |coeff| times the right side's tail and
-    rounding u mu (times 1.01 for its 1 + O(n u)) from :func:`_row_sum_right`,
-    and u |coeff S| each for the product by coeff and the difference.
-    """
+    :func:`_row_sum_left`, |coeff| times the right side's from
+    :func:`_truncated_sum` over the exact table m^(power-1), and u |coeff S|
+    each for the product by coeff and the difference."""
     left, left_bound = _row_sum_left(tau, power)
-    total, mu, tail = _row_sum_right(tau, power - 1)
-    right = abs(coeff) * (tail + _U * (1.01 * mu + 2.0 * abs(total)))
-    return abs(left - coeff * total), left_bound + right
+    w = power - 1
+    total, bound = _truncated_sum(tau, lambda n: [float(m**w) for m in range(n + 1)],
+                                  lambda m: w * math.log(m))
+    return abs(left - coeff * total), left_bound + abs(coeff) * (bound + 2.0 * _U * abs(total))
 
 
 def check_row_sum2(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -430,16 +447,13 @@ def check_G4_expansion(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckR
     """Lattice sum by rows against the sigma3 q-expansion, relative error.
 
     The tolerance is the bound of :func:`G4_lattice` (omitted rows, 1.3e-7
-    at the default tau and R = 3000, and rounding) plus the series' Horner
-    rounding 4 N u (pi^4/45) 240 sum sigma3(n) |q|^n over its N terms
-    (Higham §5.1), relative to the series, whose tail is below 1e-18.
-    """
+    at the default tau and R = 3000, and rounding) plus (pi^4/45) 240 times
+    the bound of the sum that gives M, relative to the series."""
     tau = _require_uhp(tau)
-    series = G4_series(tau)
+    m, m_bound = _M_sum(tau)
+    series = (_PI**4 / 45.0) * m
     lattice, bound = G4_lattice(tau, cfg)
-    terms = _terms_needed(abs(_q_from_tau(tau)), _sigma3_tail)
-    moduli = G4_series(1j * tau.imag).real - _PI**4 / 45.0
-    tol = (bound + 4 * terms * _U * moduli) / abs(series)
+    tol = (bound + (_PI**4 / 45.0) * m_bound) / abs(series)
     return _law_report("g4-lattice-vs-series", abs(lattice - series) / abs(series), cfg,
                        default_tol=tol, tau=tau)
 
@@ -463,8 +477,18 @@ def check_L_quasimodular(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFI
     return _law_report("quasimodular-law", abs(lhs - rhs), cfg, tau=tau, matrix=m.format())
 
 
+def _odd_sigma(size: int) -> tuple[float, ...]:
+    return _sigma_np(2 * size + 1)[1::2]  # sigma(2k + 1), k = 0..size
+
+
+def _xi_tail(k: int) -> float:
+    return math.log(48.0) + 2.0 * math.log(2 * k + 1)  # 48 (2k+1)^2 >= 48 sigma(2k+1)
+
+
 def _xi_combination(tau: complex) -> complex:
-    return L_eval(tau) - L_eval(tau + 0.5)
+    """L(tau) - L(tau + 1/2) = -48 sum_(n odd) sigma(n) q^n, as q times one
+    sum in q^2 = exp(2 pi i (2 tau)): a quarter of two L sums' terms."""
+    return -48.0 * _q_from_tau(tau) * _truncated_sum(2.0 * tau, _odd_sigma, _xi_tail)[0]
 
 
 def check_Xi_invariance(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -522,11 +546,12 @@ def _termwise_second_derivative(kind: str, tau: complex) -> complex:
     """d^2/dtau^2 of g or h by differentiating each exponential term.
 
     g(tau) = sum b_n exp(i pi (12n - 1) tau / 6) and h likewise with
-    (12n + 1), so the n-th term picks up -(pi (12n -+ 1) / 6)^2.
+    (12n + 1), so the n-th term picks up -(pi (12n -+ 1) / 6)^2, under
+    (2 pi (n + 1))^2, by which the tail bound grows.
     """
-    sign = -1 if kind == "g" else 1
-    prefactor = cmath.exp(sign * 1j * _PI * tau / 6.0)
-    return -prefactor * _truncated_sum(tau, partial(_d2_table, kind), _weight1_bound)
+    return -_weight1(-1 if kind == "g" else 1, tau, partial(_d2_table, kind),
+                     lambda n: _weight1_bound(n) + 2.0 * math.log(2.0 * _PI * (n + 1)),
+                     floor=False)
 
 
 def check_ode_solution(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:

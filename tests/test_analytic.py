@@ -35,6 +35,7 @@ from foursquares.analytic import (
     theta_eval,
 )
 from foursquares.modgroup import IDENTITY, MAT_S, MAT_T, MAT_U, Mat2Z, MembershipError
+from foursquares.numtheory import sigma3_table, sigma_table
 
 TU = MAT_T * MAT_U
 
@@ -44,8 +45,12 @@ def q_of(tau):
 
 
 def eval_qseries(series, q):
-    """Horner evaluation of an exact series at a complex point."""
-    return analytic._horner([float(c) for c in series.coeffs], q)
+    """Horner evaluation of an exact series at a complex point, in a loop of
+    the tests' own, so that no evaluator is its own oracle."""
+    acc = 0j
+    for c in reversed(series.coeffs):
+        acc = acc * q + float(c)
+    return acc
 
 
 U = 2.0**-53
@@ -202,6 +207,30 @@ def dot_sum(table, q):
     return complex(np.dot(table, np.power(q, np.arange(len(table)))))
 
 
+# (table, log of a bound on its coefficients) for each dense sum: the
+# evaluators' tail bounds, and the row sums' m^3
+SUM_TABLES = {
+    "sigma": (analytic._sigma_np, lambda m: math.log(24.0) + 2.0 * math.log(m)),
+    "sigma3": (analytic._sigma3_np, analytic._sigma3_tail),
+    "psi": (analytic._psi_np, analytic._weight1_bound),
+    "phi": (analytic._phi_np, analytic._weight1_bound),
+    "m^3": (lambda n: [float(m**3) for m in range(n + 1)], lambda m: 3.0 * math.log(m)),
+}
+
+
+def exact_coefficients(name, order):
+    """The exact coefficients of a table, as ints or Fractions."""
+    if name == "sigma":
+        return sigma_table(order)
+    if name == "sigma3":
+        return sigma3_table(order)
+    if name == "psi":
+        return forms.psi_by_partition_square(order).coeffs
+    if name == "phi":
+        return forms.phi_by_reduction_of_order(order).coeffs
+    return [m**3 for m in range(order + 1)]
+
+
 class TestWeight1Tables:
     @pytest.mark.parametrize("n", [256, 1024])
     def test_bit_identical_to_recursions(self, n):
@@ -228,7 +257,35 @@ class TestHorner:
             tau = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.01), math.log(3.0))))
             q = q_of(tau)
             scale = float(np.dot(magnitudes, abs(q) ** np.arange(n + 1)))
-            assert abs(analytic._horner(table, q) - dot_sum(table, q)) <= 4 * n * u * scale
+            assert abs(analytic._horner(table, q)[0] - dot_sum(table, q)) <= 4 * n * u * scale
+
+    @pytest.mark.parametrize("name", SUM_TABLES)
+    def test_cut_is_the_least_that_meets_the_criterion(self, name):
+        # N meets coeff_bound(N) |q|^N < 1e-18 and N - 1 does not; size is
+        # the power-of-two rule's cut, the one the tables are cached at
+        _, bound = SUM_TABLES[name]
+        fits = lambda n, logq: bound(n) + n * logq < math.log(1e-18)
+        for im in (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0):
+            logq = -2 * math.pi * im
+            n, size = analytic._terms_needed(math.exp(logq), bound)
+            assert fits(n, logq) and n <= size
+            assert n == 1 or not fits(n - 1, logq)
+            assert size == next(s for s in (256 << k for k in range(7)) if fits(s, logq))
+
+    @pytest.mark.parametrize("name", SUM_TABLES)
+    def test_exact_cut_agrees_with_the_power_of_two_sum(self, name):
+        # the power-of-two sum over all of table(size), kept as the oracle of
+        # the sum cut at N: the two differ by the terms past N, which the
+        # stated bound covers, and by both roundings
+        table, bound = SUM_TABLES[name]
+        rng = random.Random(f"cut-{name}")
+        for _ in range(20):
+            tau = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+            q = analytic._q_from_tau(tau)
+            _, size = analytic._terms_needed(abs(q), bound)
+            full, mu = analytic._horner(table(size), q)
+            got, stated = analytic._truncated_sum(tau, table, bound)
+            assert abs(got - full) <= stated + 1.01 * U * mu
 
     @pytest.mark.parametrize("start, stop, num", [
         (1.0, 20.0, 11), (0.0, 1.0, 11), (0.0, 1.0, 101), (0.05, 0.5, 10), (0.2, 5.0, 25),
@@ -305,8 +362,9 @@ class TestRowSums:
         mpmath = pytest.importorskip("mpmath")
         err, bound = analytic._row_sum_error(tau, power, coeff)
         left, left_bound = analytic._row_sum_left(tau, power)
-        total, mu, _ = analytic._row_sum_right(tau, power - 1)
-        terms = analytic._terms_needed(abs(q_of(tau)), lambda m: (power - 1) * math.log(m))
+        q = analytic._q_from_tau(tau)
+        terms, _ = analytic._terms_needed(abs(q), lambda m: (power - 1) * math.log(m))
+        total, mu = analytic._horner([float(m ** (power - 1)) for m in range(terms + 1)], q)
         with mpmath.workdps(40):
             row = row_reference(mpmath, tau, power)
             q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
@@ -399,7 +457,8 @@ def lattice_moduli(tau):
 
 def geometric_sum(q, weight):
     """sum m^weight q^m, summed until the next term falls below rounding:
-    the oracle for :func:`analytic._row_sum_right`."""
+    the oracle for the row sums' right side, :func:`analytic._truncated_sum`
+    over the table m^weight."""
     acc = 0j
     absq = abs(q)
     for m in range(1, 20_001):
@@ -416,13 +475,18 @@ class TestRowSumRight:
         rng = random.Random(f"row-sum-right-{weight}")
         u = 2.0**-53
         bound = lambda m: weight * math.log(m)
+        table = lambda n: [float(m**weight) for m in range(n + 1)]
         for _ in range(24):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3.0))
             q = q_of(tau)
-            n = analytic._terms_needed(abs(q), bound)
+            n, _ = analytic._terms_needed(abs(q), bound)
             scale = sum(m**weight * abs(q) ** m for m in range(1, n + 1))
-            got, _, tail = analytic._row_sum_right(tau, weight)
+            # sum_(m>n) m^w |q|^m <= (n+1)^w |q|^(n+1) / (1 - r), r the first ratio
+            r = ((n + 2) / (n + 1)) ** weight * abs(q)
+            tail = (n + 1) ** weight * abs(q) ** (n + 1) / (1.0 - r)
+            got, stated = analytic._truncated_sum(tau, table, bound)
             assert abs(got - geometric_sum(q, weight)) <= 4 * n * u * scale + tail
+            assert tail <= stated
 
 
 class TestG4:
@@ -485,6 +549,48 @@ class TestReferenceTier:
             error = float(abs(mpmath.mpc(got) - row))
         assert error <= bound
         assert error <= 1e-15 * float(abs(row))
+
+    @pytest.mark.parametrize("name", SUM_TABLES)
+    def test_sum_within_its_stated_bound(self, name):
+        # the whole series with exact coefficients at the exact q, at 40
+        # digits, lies within the bound _truncated_sum returns: the tail, the
+        # running rounding bound, and the rounding of q and of the tables
+        mpmath = pytest.importorskip("mpmath")
+        table, bound = SUM_TABLES[name]
+        # past this order every term is below 1e-45 at im 0.05
+        order = next(n for n in range(1, 5000) if bound(n) - 0.1 * math.pi * n < math.log(1e-45))
+        coeffs = exact_coefficients(name, order)
+        with mpmath.workdps(40):
+            cs = [mpmath.mpf(c.numerator) / c.denominator if hasattr(c, "denominator") else
+                  mpmath.mpf(c) for c in coeffs]
+            for im in (0.05, 0.1, 0.5, 1.0, 2.0):
+                for re in (0.0, 0.1, 0.3):
+                    tau = complex(re, im)
+                    got, stated = analytic._truncated_sum(tau, table, bound)
+                    q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
+                    want = mpmath.polyval(cs[::-1], q)
+                    assert float(abs(mpmath.mpc(got) - want)) <= stated, (name, tau)
+
+    @pytest.mark.parametrize("tau", [0.05j, 0.1 + 0.05j, 0.3 + 0.1j, 0.1 + 0.5j, 1j, 0.3 + 2j])
+    def test_xi_within_its_stated_bound(self, tau):
+        # the odd part, summed once in q^2, against L(tau) - L(tau + 1/2) at
+        # 40 digits, each L summed to below 1e-45
+        mpmath = pytest.importorskip("mpmath")
+        s, stated = analytic._truncated_sum(2 * tau, analytic._odd_sigma, analytic._xi_tail)
+        order = next(n for n in range(1, 5000) if 2 * math.log(n) - 2 * math.pi * tau.imag * n < -104)
+        sig = sigma_table(order)
+        with mpmath.workdps(40):
+            L = lambda z: 1 - 24 * mpmath.polyval([mpmath.mpf(c) for c in sig[::-1]],
+                                                   mpmath.exp(2j * mpmath.pi * z))
+            t = mpmath.mpc(tau)
+            xi = L(t) - L(t + mpmath.mpf(0.5))
+            q = mpmath.exp(2j * mpmath.pi * t)
+            assert float(abs(mpmath.mpc(s) - xi / (-48 * q))) <= stated
+            # and the combination itself, with the rounding of -48 q s and the
+            # error of q, (1.35 |2 pi t| + 3) u relative, t = tau - round(re tau)
+            got = analytic._xi_combination(tau)
+            e = 4 + 1.35 * 2 * math.pi * abs(tau - round(tau.real)) + 3
+            assert float(abs(mpmath.mpc(got) - xi)) <= 48 * float(abs(q)) * (stated + e * U * abs(s))
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.3 + 1.2j, 0.1 + 0.1j])
     def test_lattice_within_its_stated_bound(self, tau):
@@ -563,6 +669,24 @@ class TestGandH:
     def test_h_at_i_nonzero(self):
         assert abs(h_eval(1j)) > 0.1
 
+    @pytest.mark.parametrize("tau", [0.1 + 0.02j, 0.1 + 0.012j])
+    @pytest.mark.parametrize("evaluate", [g_eval, h_eval])
+    def test_raise_where_rounding_eats_the_digits(self, evaluate, tau):
+        # g was off by 1.1e-7 at 0.1+0.02i and by 2.1 at 0.1+0.012i; the
+        # sum's bound passes 1e-10 of it there, and the evaluators raise
+        with pytest.raises(ValueError, match=r"im\(tau\) = 0\.0[12]+ too small"):
+            evaluate(tau)
+
+    def test_floor_leaves_the_law_points_alone(self):
+        # at Im 0.05 the bound is about 3.5e-12 of the sum, and the laws
+        # workload stays above Im 0.1
+        assert abs(g_eval(0.1 + 0.05j)) > 0 and abs(h_eval(0.1 + 0.05j)) > 0
+
+    def test_g_overflow_names_im_tau(self):
+        # exp(-i pi tau / 6) leaves double range from im(tau) ~ 1356
+        with pytest.raises(ValueError, match=r"im\(tau\) = 1e\+100"):
+            g_eval(0.3 + 1e100j)
+
     def test_g_translation_eigenvalue(self):
         tau = 0.2 + 1.3j
         lhs = g_eval(tau - 1)
@@ -592,6 +716,15 @@ class TestOdeSolution:
         with pytest.raises(ValueError):
             check_ode_solution(0.05j)
 
+    @pytest.mark.parametrize("tau", [0.5 + 0.8660254037844386j, 0.5 + 0.28867513459481287j])
+    def test_passes_where_e4_vanishes(self, tau):
+        # rho = exp(i pi / 3) and its image rho / (rho + 1): E4 is zero there,
+        # so the termwise second derivatives, (pi^2/36) E4 g and E4 h, sum to
+        # rounding noise; only g and h carry the relative floor
+        report = check_ode_solution(tau)
+        assert report.passed, report.describe()
+        assert report.error < 1e-13
+
 
 class TestWeight1:
     def test_identity_reduces_to_ode(self):
@@ -612,6 +745,12 @@ class TestWeight1:
     def test_floor_enforced(self):
         with pytest.raises(ValueError):
             check_weight1_invariance(0.05 + 12j, MAT_S)
+
+    def test_image_where_e4_vanishes(self):
+        # [[1, 0], [-1, 1]] takes rho / (rho + 1) to rho, where g'' sums to noise
+        report = check_weight1_invariance(0.5 + 0.28867513459481287j, Mat2Z(1, 0, -1, 1))
+        assert report.passed, report.describe()
+        assert report.error < 1e-13
 
     def test_close_to_real_axis(self):
         # S moves 0.0236 + 0.1144i far up (im 8.4); a finite difference

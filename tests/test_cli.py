@@ -177,8 +177,28 @@ class TestVerifyAnalytic:
             assert not re.search(r"\b(nan|inf|infinity)\b", out + err, re.IGNORECASE)
             if code == 2:
                 assert out == "" and err.startswith("error: ")
+                # every refusal names the height it is about, bar the checks
+                # that take no point at all
+                assert "im(" in err or "takes no --tau" in err
             elif fmt == "json":
                 json.loads(out, parse_constant=reject)
+
+    @pytest.mark.parametrize("name, cause", [
+        ("ode-solution", "overflows at im(tau) = 1e+100"),
+        ("theta-transform", "at -1/(4 tau), im 2.5e-101, for im(tau) = 1e+100"),
+    ])
+    def test_far_above_the_axis_names_the_cause(self, name, cause):
+        # g's factor exp(-i pi tau / 6) overflows; theta-transform's image
+        # -1/(4 tau) falls where |q| rounds to 1
+        code, out, err = invoke(["verify-analytic", name, "--tau", "0.3,1e100"])
+        assert code == 2 and out == ""
+        assert cause in err
+
+    def test_ode_solution_at_rho(self):
+        # E4(rho) = 0: g'' and h'' are rounding noise there, and the check passes
+        code, out, err = invoke(["verify-analytic", "ode-solution", "--tau", "0.5,0.8660254037844386"])
+        assert code == 0 and err == ""
+        assert out.startswith("PASS ode-solution")
 
     @pytest.mark.parametrize("argv", [
         ["g4", "--lattice-radius", "10001"],
