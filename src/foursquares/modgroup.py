@@ -14,13 +14,14 @@ the upper half plane into the fundamental domain
     D = { s + it : 0 <= s <= 1, |tau - 1/4| >= 1/4, |tau - 3/4| >= 1/4 }
 
 returning the word that certifies the reduction.  Matrices and words are
-exact; only the points are floating complex numbers.  Two rules stop a word
-with ValueError: neither builder writes past MAX_WORD_LETTERS letters, and
-the reduction stops once a disc step fails to raise the height of the point.
+exact, and so is every step of the reduction: it works on the binary value
+of the point in integers and rounds only the point it returns.  Neither word
+builder writes past MAX_WORD_LETTERS letters; longer words raise ValueError.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from itertools import product
 
@@ -287,50 +288,45 @@ def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
     Loop: translate the real part into [0, 1) by a power of T; if the point
     is strictly inside the left removed disc apply U^-1, if inside the right
     one apply U T^-1; otherwise stop.  Each disc step strictly raises the
-    height im(w tau) = im(tau) / |c tau + d|^2 (|c tau + d| < 1 inside the
-    discs), and only finitely many denominators satisfy that, so the loop
-    terminates.  The word is exact; the current point is always recomputed
-    from the accumulated matrix so the certificate replays to the returned
-    point by construction.
+    height im(w tau) = im(tau) / |c tau + d|^2, and only finitely many bottom
+    rows (c, d) satisfy that, so the loop terminates.
 
-    So a disc step that leaves |c tau + d| no smaller than the last one did
-    raises ValueError: rounding has misplaced the point, as when im(tau) is
-    tiny.  |c tau + d| comes from w's exact bottom row, which T steps leave
-    alone, and tau's exact binary value, to a few roundings; im(cur) can be
-    off by 1e-5 relative near a cusp.  A word past MAX_WORD_LETTERS letters
-    raises ValueError too.
+    Every step is decided exactly, in integers (W. Stein, Modular Forms: A Computational
+    Approach, ch. 1): tau is exactly (p + ir)/s, and for w = [[a, b], [c, d]]
+    and x = cp + ds, w tau = (Nr + i rs)/Dn with Dn = x^2 + (cr)^2 and
+    Nr = (ap + bs)x + ac r^2.  tau' is that point correctly rounded, and the
+    boundary of D counts as inside.  A non-finite tau or a word past
+    MAX_WORD_LETTERS letters raises ValueError; a tau' too high for a float
+    raises OverflowError.
     """
-    if tau.imag <= 0:
-        raise ValueError("tau must satisfy im(tau) > 0")
-    num, den = tau.real.as_integer_ratio()
+    if not cmath.isfinite(tau) or tau.imag <= 0:
+        raise ValueError(f"tau must be finite with im(tau) > 0 (got {tau})")
+    p, sp = tau.real.as_integer_ratio()
+    r, sr = tau.imag.as_integer_ratio()
+    s = max(sp, sr)  # both are powers of two
+    p, r = p * (s // sp), r * (s // sr)
+    ni = r * s
     applied: list[tuple[str, int]] = []  # letters in the order they act
-    mat = IDENTITY
-    cur = tau
-    size = 1.0  # |c tau + d| of the identity, and after the last disc step
-
-    def apply(gen: str, k: int) -> None:
-        nonlocal mat
-        applied.append((gen, k))
-        mat = _letter(gen, k) * mat
-
+    a, b, c, d = 1, 0, 0, 1
     while True:
-        shift = -int(cur.real // 1)
+        x = c * p + d * s
+        dn = x * x + (c * r) ** 2
+        nr = (a * p + b * s) * x + a * c * r * r
+        shift = -(nr // dn)
         if shift:
-            apply("T", shift)
-            cur = mobius(mat, tau)
-        if abs(cur - 0.25) < 0.25 - DOMAIN_EPS:
-            apply("U", -1)
-        elif abs(cur - 0.75) < 0.25 - DOMAIN_EPS:
-            apply("T", -1)
-            apply("U", 1)
+            applied.append(("T", shift))
+            a, b, nr = a + shift * c, b + shift * d, nr + shift * dn
+        norm2 = 2 * (nr * nr + ni * ni)
+        if norm2 < nr * dn:
+            applied.append(("U", -1))
+            c, d = c - 4 * a, d - 4 * b
+        elif norm2 - 3 * nr * dn + dn * dn < 0:
+            applied += (("T", -1), ("U", 1))
+            a, b = a - c, b - d
+            c, d = c + 4 * a, d + 4 * b
         else:
             # The word acts last letter first, so it is the reverse.
-            return cur, GenWord(reversed(applied))
-        cur = mobius(mat, tau)
-        last, size = size, abs(complex((mat.c * num + mat.d * den) / den, mat.c * tau.imag))
-        if size >= last:
-            raise ValueError(f"reduction of tau = {tau} stalled: double precision "
-                             f"misplaced the point (im(tau) = {tau.imag:g})")
+            return complex(nr / dn, ni / dn), GenWord(reversed(applied))
         if len(applied) > MAX_WORD_LETTERS:
             raise ValueError(f"the reduction of tau = {tau} writes more than "
                              f"{MAX_WORD_LETTERS} letters")

@@ -293,16 +293,27 @@ class TestReduceTau:
         assert code == 2
         code, _, _ = invoke(["reduce-tau", "fish"])
         assert code == 2
-        for text in ("nan,1", "-inf,1", "0,nan"):
+        # the last reduces above the largest float
+        for text in ("nan,1", "-inf,1", "0,nan", "0.25,5e-324"):
             code, out, _ = invoke(["reduce-tau", text])
             assert code == 2 and out == ""
 
     def test_step_limit_is_usage_error(self):
-        # Near the cusp 1/2 double precision stalls the descent; it stops
-        # at once instead of cycling.
-        code, out, err = invoke(["reduce-tau", "0.5939742584042348,8.103651583373406e-13"])
+        # Next to the cusp 1/2 the word needs more than MAX_WORD_LETTERS letters.
+        code, out, err = invoke(["reduce-tau", "0.5000001,1e-10"])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert f"more than {modgroup.MAX_WORD_LETTERS} letters" in err
+
+    def test_prints_the_exact_image(self):
+        # The float reduction once stopped this point at 0.99999962+0.00044i,
+        # inside the right disc, and printed in_domain true.
+        code, out, _ = invoke(["reduce-tau", "--format", "json", "--",
+                               "6.403508726515092,1.7682397015796046e-08"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["word"].startswith("U^1472 ") and doc["in_domain"] is True
+        assert 3.8e-7 < doc["reduced"][0] < 3.81e-7
 
 
 class TestDecompose:

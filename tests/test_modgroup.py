@@ -1,5 +1,6 @@
 """Group algebra, membership, word problem, reduction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -305,14 +306,28 @@ def stepwise_reduce(tau, max_steps, keep_word=True):
     raise ValueError(f"reduction did not reach D within {max_steps} steps for tau = {tau}")
 
 
-def exactly_in_domain(m, tau):
-    """Whether m tau lies in D, decided in rationals from tau's exact value."""
+def exact_image(m, tau):
+    """m tau as a pair of rationals, from tau's exact value."""
     x, y = Fraction(tau.real), Fraction(tau.imag)
     size = (m.c * x + m.d) ** 2 + (m.c * y) ** 2
-    re = ((m.a * x + m.b) * (m.c * x + m.d) + m.a * m.c * y * y) / size
-    im2 = (y / size) ** 2
+    return ((m.a * x + m.b) * (m.c * x + m.d) + m.a * m.c * y * y) / size, y / size
+
+
+def exactly_in_domain(m, tau):
+    """Whether m tau lies in D, decided in rationals from tau's exact value."""
+    re, im = exact_image(m, tau)
+    im2 = im * im
     return (0 <= re <= 1 and (re - Fraction(1, 4)) ** 2 + im2 >= Fraction(1, 16)
             and (re - Fraction(3, 4)) ** 2 + im2 >= Fraction(1, 16))
+
+
+def assert_exactly_reduced(tau, reduced, word):
+    """The word's exact image of tau lies in D, and reduced is it rounded."""
+    mat = word.evaluate()
+    assert in_gamma1_4(mat), tau
+    assert exactly_in_domain(mat, tau), tau
+    re, im = exact_image(mat, tau)
+    assert reduced == complex(float(re), float(im)), tau
 
 
 # A word of 1,470 letters; the point where the step limit once ran for 20 s
@@ -325,6 +340,10 @@ CYCLING_TAU = complex(0.5939742584042348, 8.103651583373406e-13)
 MISPLACED_TAU = complex(7.388888794580026, 1.5166611242424763e-07)
 NOISY_HEIGHT_TAUS = (complex(-9.354748611209336, 1.0457520996905653e-08),
                      complex(-6.928567913357345, 1.5782268774271832e-06))
+# Two points whose float reductions took a last step that left them inside
+# the right disc, and called the result in D.
+FLOAT_MISSTEP_TAUS = (complex(6.403508726515092, 1.7682397015796046e-08),
+                      complex(-7.313725516157961, 3.125647899061359e-08))
 
 
 class TestReduceAgainstStepwise:
@@ -337,17 +356,22 @@ class TestReduceAgainstStepwise:
         return reduced, word.letters
 
     def test_seeded_points_match_the_oracle(self):
+        # Wherever the float oracle reaches D exactly, the words agree; the
+        # points then differ only by the oracle's own rounding.
         rng = random.Random(19)
         points = [complex(rng.uniform(-10, 10), 10 ** rng.uniform(-8, 1)) for _ in range(400)]
         for tau in [*points, LONG_WORD_TAU, CYCLING_TAU, *NOISY_HEIGHT_TAUS]:
+            reduced, word = reduce_to_fundamental(tau)
+            assert_exactly_reduced(tau, reduced, word)
             want = self.outcome(lambda t: stepwise_reduce(t, 20_000), tau)
-            got = self.outcome(reduce_to_fundamental, tau)
-            if got is None and want is not None:
-                # only where the oracle's answer is itself outside D
-                mat = GenWord(want[1]).evaluate()
-                assert not exactly_in_domain(mat, tau), tau
-            else:
-                assert got == want, tau
+            if want is not None and exactly_in_domain(GenWord(want[1]).evaluate(), tau):
+                assert word.letters == want[1], tau
+
+    def test_deep_points_land_exactly_in_domain(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            tau = complex(rng.uniform(-10, 10), 10 ** rng.uniform(-14, 1))
+            assert_exactly_reduced(tau, *reduce_to_fundamental(tau))
 
     def test_long_word(self):
         _, word = reduce_to_fundamental(LONG_WORD_TAU)
@@ -355,16 +379,42 @@ class TestReduceAgainstStepwise:
         assert exactly_in_domain(word.evaluate(), LONG_WORD_TAU)
 
     def test_cycle_stops_at_once(self):
-        with pytest.raises(ValueError, match="double precision .*im\\(tau\\) = 8.10365e-13"):
-            reduce_to_fundamental(CYCLING_TAU)
+        # Exact steps cannot cycle: the point that once did reduces at once.
+        reduced, word = reduce_to_fundamental(CYCLING_TAU)
+        assert len(word) == 15
+        assert_exactly_reduced(CYCLING_TAU, reduced, word)
 
     def test_misplaced_point_stops(self):
-        # its word has 18,257 letters, too long for the oracle's word
+        # the float oracle stops outside D; the exact reduction does not
         reduced, mat = stepwise_reduce(MISPLACED_TAU, 20_000, keep_word=False)
         assert in_fundamental_domain(reduced)
         assert not exactly_in_domain(mat, MISPLACED_TAU)
-        with pytest.raises(ValueError, match="double precision"):
-            reduce_to_fundamental(MISPLACED_TAU)
+        reduced, word = reduce_to_fundamental(MISPLACED_TAU)
+        assert len(word) == 18_255
+        assert_exactly_reduced(MISPLACED_TAU, reduced, word)
+
+    @pytest.mark.parametrize("tau, first", zip(FLOAT_MISSTEP_TAUS, [("U", 1472), ("U", 1512)]))
+    def test_float_missteps_mended(self, tau, first):
+        reduced, word = reduce_to_fundamental(tau)
+        assert word.letters[0] == first
+        assert_exactly_reduced(tau, reduced, word)
+
+    def test_subnormal_height(self):
+        tau = complex(0.123456789, 5e-324)
+        reduced, word = reduce_to_fundamental(tau)
+        assert_exactly_reduced(tau, reduced, word)
+        assert 3.8e289 < reduced.imag < 4.0e289
+
+    def test_height_past_float_range(self):
+        # U^-1 takes the cusp 1/4 to infinity: im = 1 / (16 * 5e-324)
+        with pytest.raises(OverflowError):
+            reduce_to_fundamental(complex(0.25, 5e-324))
+
+    @pytest.mark.parametrize("tau", [complex(0.3, math.inf), complex(0.3, math.nan),
+                                     complex(math.inf, 1), complex(math.nan, 1)])
+    def test_non_finite_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            reduce_to_fundamental(tau)
 
     def test_word_ceiling(self, monkeypatch):
         monkeypatch.setattr(modgroup, "MAX_WORD_LETTERS", 1000)
