@@ -71,9 +71,10 @@ ANALYTIC_CHECKS = tuple(_ANALYTIC)
 # their types; an omitted flag leaves that field's EvalConfig default in place
 _CONFIG_FLAGS = {"lattice_radius": int, "tol": float}
 
-# Ceiling on expand/verify --order, measured at 3000 on a 2-core VM: `verify
-# psi-triple` 5.7 s, `expand phi` 1.6 s, all others under 0.1 s.  Near 3250,
-# phi's coefficients pass Python's 4300-digit limit on int-to-text conversion.
+# Ceiling on expand/verify --order.  At 3000 a whole run takes 5.2-5.6 s for
+# `verify psi-triple`, 1.5-1.7 s for `expand phi` and 0.05-0.09 s for every
+# other name (2-core Xeon VM, Python 3.11.7).  Near 3250, phi's coefficients
+# pass Python's 4300-digit limit on int-to-text conversion.
 MAX_ORDER = 3000
 
 # argparse takes only plain negative numbers as positionals or option values;

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .numtheory import (
     euler_quotient,
-    jacobi_count,
     partitions_table,
     sigma3_table,
     sigma_table,
@@ -207,11 +206,14 @@ def verify_lagrange(order: int) -> CheckReport:
 
 
 def verify_full_jacobi(order: int) -> CheckReport:
-    """theta^4 coefficient n equals 8 * sum of divisors of n not divisible by 4."""
+    """theta^4 coefficient n equals 8 * sum of divisors of n not divisible by 4,
+    which is sigma(n) - 4 sigma(n/4): the others are 4e with e | n/4."""
     if order < 1:
         raise ValueError("order must be >= 1")
     t4 = theta4(order)
-    want = QSeries([1] + [jacobi_count(n) for n in range(1, order + 1)])
+    sig = sigma_table(order)
+    want = QSeries([1] + [8 * (sig[n] - (0 if n % 4 else 4 * sig[n // 4]))
+                          for n in range(1, order + 1)])
     return _exact_report("full-jacobi-formula", order, _mismatch(t4, want, order))
 
 

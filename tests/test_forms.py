@@ -205,7 +205,7 @@ class TestVerifiers:
         assert verify_lagrange(2000).passed
 
     def test_full_jacobi(self):
-        report = verify_full_jacobi(200)
+        report = verify_full_jacobi(2000)
         assert report.passed
         t4 = theta4(8)
         assert t4[8] == 24
@@ -287,6 +287,11 @@ class TestFailureWitnesses:
         self._bump(monkeypatch, "psi_by_exp", 1, 4)
         assert (self._failure(verify_psi_triple, 20)
                 == f"exp-construction coefficient 4: got {b[4] + 1}, expected {b[4]}")
+
+    def test_full_jacobi_mismatch_where_four_divides(self, monkeypatch):
+        # r4(12) = 8 * (sigma(12) - 4 sigma(3)) = 8 * (28 - 16)
+        self._bump(monkeypatch, "theta4", 1, 12)
+        assert self._failure(verify_full_jacobi, 20) == "coefficient 12: got 97, expected 96"
 
     def test_proportionality_vanishing_right_side(self, monkeypatch):
         monkeypatch.setattr(forms, "series_L", lambda order: QSeries([1], order=order))

@@ -1,5 +1,9 @@
 """Number-theory oracles, checked against even dumber enumerations."""
 
+import random
+import sys
+import threading
+import time
 import tracemalloc
 from math import gcd, isqrt
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foursquares import analytic, numtheory
 from foursquares.numtheory import (
     R4_MAX_N,
     divisors,
@@ -52,6 +57,15 @@ def partitions_by_pentagonal_loop(limit):
             k += 1
         p[n] = total
     return p
+
+
+def divisor_power_sieve(limit, power):
+    """sum d^power over d | n for n <= limit, each product d * e visited once."""
+    table = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for e in range(1, limit // d + 1):
+            table[d * e] += d**power
+    return table
 
 
 def times_euler_product(x):
@@ -229,3 +243,96 @@ class TestJacobiCount:
     def test_multiples_of_four_excluded(self):
         assert jacobi_count(4) == 24  # divisors 1, 2 only
         assert jacobi_count(8) == 24  # divisors 1, 2 only
+
+    def test_equals_sigma_less_four_sigma_of_a_quarter(self):
+        # the divisors of n that 4 divides are 4e with e | n/4
+        sig = sigma_table(2000)
+        for n in range(1, 2001):
+            assert jacobi_count(n) == 8 * (sig[n] - (0 if n % 4 else 4 * sig[n // 4]))
+
+
+class TestKeptTables:
+    """sigma_table, sigma3_table and partitions_table slice one tuple kept per
+    kind; every answer must be the one a fresh build gives."""
+
+    TABLES = {
+        "sigma": (sigma_table, lambda n: divisor_power_sieve(n, 1)),
+        "sigma3": (sigma3_table, lambda n: divisor_power_sieve(n, 3)),
+        "partitions": (partitions_table, partitions_by_pentagonal_loop),
+    }
+    REFERENCE = {kind: ref(3000) for kind, (_, ref) in TABLES.items()}
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_kept", {})
+
+    @pytest.mark.parametrize("kind", TABLES)
+    @pytest.mark.parametrize("limits", [(0, 10, 500, 3000), (3000, 500, 10, 0),
+                                        (500, 10, 3000, 0), (7, 7, 6, 8, 2999, 3000, 1)])
+    def test_any_request_order(self, kind, limits):
+        table, _ = self.TABLES[kind]
+        for limit in limits:
+            got = table(limit)
+            assert type(got) is list
+            assert got == self.REFERENCE[kind][:limit + 1]
+        assert len(numtheory._kept[kind]) == max(limits) + 1
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_mutating_a_result_changes_no_later_one(self, kind):
+        table, _ = self.TABLES[kind]
+        first = table(100)
+        first[3] += 1
+        first.append(5)
+        del first[:10]
+        assert table(100) == self.REFERENCE[kind][:101]
+        assert table(50) == self.REFERENCE[kind][:51]
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_above_the_ceiling_is_built_but_not_kept(self, kind, monkeypatch):
+        table, _ = self.TABLES[kind]
+        monkeypatch.setattr(numtheory, "_KEPT_LIMIT", 200)
+        table(150)
+        kept = numtheory._kept[kind]
+        assert table(201) == self.REFERENCE[kind][:202]
+        assert table(2500) == self.REFERENCE[kind][:2501]
+        assert numtheory._kept[kind] is kept
+        assert table(200) == self.REFERENCE[kind][:201]
+        assert len(numtheory._kept[kind]) == 201
+
+    def test_above_the_real_ceiling(self):
+        sigma_table(10)
+        kept = numtheory._kept["sigma"]
+        limit = numtheory._KEPT_LIMIT + 1
+        assert sigma_table(limit) == divisor_power_sieve(limit, 1)
+        assert numtheory._kept["sigma"] is kept
+
+    def test_ceiling_is_the_largest_analytic_table(self):
+        sizes = [256 * 2**k for k in range(10) if 256 * 2**k <= analytic._MAX_TERMS]
+        assert numtheory._KEPT_LIMIT == max(sizes)
+
+    def test_threads_racing_on_cold_tables(self):
+        kinds = list(self.TABLES)
+        failures, deadline = [], time.monotonic() + 2.0
+
+        def worker(seed):
+            rng = random.Random(seed)
+            while time.monotonic() < deadline:
+                kind = rng.choice(kinds)
+                limit = rng.randint(0, 3000)
+                if rng.random() < 0.05:
+                    numtheory._kept = {}  # start every kind cold again
+                if self.TABLES[kind][0](limit) != self.REFERENCE[kind][:limit + 1]:
+                    failures.append((kind, limit))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert failures == []
