@@ -27,6 +27,7 @@ from fractions import Fraction
 from .numtheory import (
     euler_quotient,
     partitions_table,
+    pentagonal,
     sigma3_table,
     sigma_table,
 )
@@ -79,7 +80,7 @@ def psi_by_recursion(order: int) -> QSeries:
     The coefficients are provably integers; a non-integral value would
     falsify that, so it raises rather than warns.
     """
-    b = recurrence(sigma_table(order), lambda n: Fraction(2, n), order)
+    b = recurrence(QSeries(sigma_table(order)), lambda n: Fraction(2, n), order)
     for n, bn in enumerate(b.coeffs):
         if bn.denominator != 1:
             raise ArithmeticError(f"b_{n} = {bn} is not an integer")
@@ -92,7 +93,8 @@ def psi_by_sigma3_recursion(order: int) -> QSeries:
     Agreement with :func:`psi_by_recursion` is exactly the formal content of
     the Ramanujan differential identity.
     """
-    return recurrence(sigma3_table(order), lambda n: Fraction(10, n * (6 * n - 1)), order)
+    return recurrence(QSeries(sigma3_table(order)),
+                      lambda n: Fraction(10, n * (6 * n - 1)), order)
 
 
 def psi_by_exp(order: int) -> QSeries:
@@ -111,7 +113,8 @@ def psi_by_partition_square(order: int) -> QSeries:
 
 def phi_by_recursion(order: int) -> QSeries:
     """phi from a_0 = 1, a_n = 10/(n(6n+1)) sum sigma3(k) a_{n-k}; exact rationals."""
-    return recurrence(sigma3_table(order), lambda n: Fraction(10, n * (6 * n + 1)), order)
+    return recurrence(QSeries(sigma3_table(order)),
+                      lambda n: Fraction(10, n * (6 * n + 1)), order)
 
 
 def phi_by_reduction_of_order(order: int) -> QSeries:
@@ -132,16 +135,10 @@ def phi_by_reduction_of_order(order: int) -> QSeries:
 
 
 def _euler_product(order: int) -> QSeries:
-    """prod (1-q^n) by Euler's pentagonal number theorem: coefficient
-    (-1)^k at each generalised pentagonal number k(3k-1)/2, k in Z."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= order:
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= order:
-                coeffs[g] = -1 if k & 1 else 1
-        k += 1
+    """prod (1-q^n) by Euler's pentagonal number theorem."""
+    coeffs = [1] + [0] * order
+    for g, sign in pentagonal(order):
+        coeffs[g] = sign
     return QSeries(coeffs)
 
 

@@ -1,5 +1,5 @@
-"""Exact integer arithmetic oracles: divisor sums, partition numbers, and
-brute-force four-square representation counts.
+"""Exact integer arithmetic oracles: divisor sums, the generalised pentagonal
+numbers, partition numbers, and brute-force four-square representation counts.
 
 Everything here is ground truth for the series modules: plain enumeration
 and trial division over arbitrary-precision integers, sharing no code with
@@ -85,19 +85,26 @@ def _divisor_power_table(limit: int, power: int) -> list[int]:
     return table
 
 
+def pentagonal(limit: int) -> list[tuple[int, int]]:
+    """The generalised pentagonal numbers g = k(3k-1)/2 and k(3k+1)/2 <= limit,
+    k >= 1, ascending, each with its sign (-1)^k: by Euler's pentagonal number
+    theorem, prod (1-q^n) = 1 + sum of sign q^g."""
+    # k(3k-1)/2 >= k^2, so every k with a g <= limit has k <= isqrt(limit)
+    return [(g, -1 if k & 1 else 1) for k in range(1, isqrt(limit) + 1)
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= limit]
+
+
 def euler_quotient(y: Sequence[int]) -> list[int]:
     """x with x * prod (1-q^n) = y through the length of y, by Euler's
-    pentagonal recurrence x_n = y_n + sum_{k>=1} (-1)^(k+1) (x_{n-k(3k-1)/2}
-    + x_{n-k(3k+1)/2}): about sqrt(n) additions per coefficient."""
-    # pentagonal numbers 1, 2, 5, 7, ... (those below len(y) have k^2 < len(y)), sign + or -
-    pents = [(k * (3 * k + s) // 2, k & 1)
-             for k in range(1, isqrt(len(y)) + 1) for s in (-1, 1)]
+    pentagonal recurrence x_n = y_n - sum over the pentagonal (g, sign) of
+    sign x_{n-g}: about sqrt(n) additions per coefficient."""
+    pents = pentagonal(len(y))
     x: list[int] = []
     for n, total in enumerate(y):
-        for g, plus in pents:
+        for g, sign in pents:
             if g > n:
                 break
-            total = total + x[n - g] if plus else total - x[n - g]
+            total = total - x[n - g] if sign > 0 else total + x[n - g]
         x.append(total)
     return x
 

@@ -3,9 +3,10 @@
 A :class:`QSeries` of order N stores the coefficients of q^0 .. q^N and
 represents a series known modulo q^(N+1), as int numerators over one
 positive common denominator in lowest terms (the layout of FLINT's
-fmpq_poly).  Every operation is exact and runs on ints; a coefficient reads
-back as an int when that denominator is 1, else as a Fraction.  Values are
-immutable and all operations are pure functions, safe to share across threads.
+fmpq_poly).  That is the one stored form: every operation is exact and
+runs on ints, and a coefficient reads back as an int when the denominator is
+1, else as a Fraction built when it is read.  Values are immutable and all
+operations are pure functions, safe to share across threads.
 
 Arithmetic on two series of orders N1, N2 truncates to min(N1, N2): each
 factor is known only through its own order, as in fmpq_poly's truncated
@@ -27,7 +28,7 @@ class QSeries:
     """A dense truncated power series sum_{n=0}^{order} c_n q^n, held as
     c_n = _num[n] / _den with _den > 0 and gcd(_den, *_num) == 1."""
 
-    __slots__ = ("_num", "_den", "_view")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         cs = list(coeffs)
@@ -41,7 +42,7 @@ class QSeries:
             cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self._den, self._view = 1, None
+        self._den = 1
         if exact_ints:
             self._num = tuple(cs)
         else:
@@ -51,15 +52,15 @@ class QSeries:
             self._num = tuple(f.numerator * (self._den // f.denominator) for f in fs)
 
     @classmethod
-    def _of(cls, num: Sequence[int], den: int = 1, view: tuple | None = None) -> "QSeries":
-        """num[n]/den in lowest terms; a given `view` holds its values as Fractions."""
+    def _of(cls, num: Sequence[int], den: int = 1) -> "QSeries":
+        """num[n]/den in lowest terms."""
         if den != 1:
             # the last coefficients carry the largest denominators: from there gcd hits 1 soonest
             g = math.gcd(den, *reversed(num))
             if g != 1:
                 num, den = [c // g for c in num], den // g
         series = cls.__new__(cls)
-        series._num, series._den, series._view = tuple(num), den, view
+        series._num, series._den = tuple(num), den
         return series
 
     @property
@@ -68,12 +69,10 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        """Ints when the denominator is 1, else Fractions (built once, kept)."""
+        """Ints when the denominator is 1, else a fresh tuple of Fractions."""
         if self._den == 1:
             return self._num
-        if self._view is None:
-            self._view = tuple(Fraction(c, self._den) for c in self._num)
-        return self._view
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     def floats(self) -> tuple[float, ...]:
         """The coefficients as floats, each equal to float() of its Fraction:
@@ -89,7 +88,7 @@ class QSeries:
         return cls([1], order=order)
 
     def __getitem__(self, n: int) -> Scalar:
-        return self._num[n] if self._den == 1 else self.coeffs[n]
+        return self._num[n] if self._den == 1 else Fraction(self._num[n], self._den)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -228,32 +227,26 @@ def exp0(a: QSeries) -> QSeries:
     """
     if a[0] != 0:
         raise ValueError("exp0 requires constant term exactly 0")
-    return recurrence(qderiv(a).coeffs, lambda n: Fraction(1, n), a.order)
+    return recurrence(qderiv(a), lambda n: Fraction(1, n), a.order)
 
 
-def recurrence(
-    s: Sequence[Scalar], weight: Callable[[int], Scalar], order: int
-) -> QSeries:
+def recurrence(s: QSeries, weight: Callable[[int], Scalar], order: int) -> QSeries:
     """The exact series sum x_n q^n of order `order`, for x_0 = 1 and
     x_n = weight(n) * sum_{k=1}^{n} s_k x_{n-k}; s_0 is never read.
 
-    The work runs in ints: s_k = S_k/ds over the lcm ds of its denominators,
+    The work runs in ints: s_k = S_k/ds over the series' own denominator ds,
     and x_k = X_k/D over one running common denominator D, so each sum is
     one dot product of ints.  Step n gives X_n = num/t, with t = ds times
     the weight's denominator; when t does not divide num, D and the stored
     X_k grow by t/gcd(num, t), the least factor that makes X_n an int.  So D
     is the lcm of the values' denominators and (X, D) is in lowest terms.
-    Once D > 1, each step reduces its value to a Fraction against the D of
-    that step, for the Fraction view: cheaper than against the final D.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if len(s) <= order:
+    if s.order < order:
         raise ValueError(f"recurrence to order {order} needs s_1 .. s_{order}")
-    s = s[1 : order + 1]
-    ds = math.lcm(*(c.denominator for c in s))
-    s_int = [c.numerator * (ds // c.denominator) for c in s]
-    x, D, view = [1], 1, []
+    s_int, ds = s._num[1 : order + 1], s._den
+    x, D = [1], 1
     for n in range(1, order + 1):
         w = weight(n)
         # reversed(x) runs X_{n-1} .. X_0 against S_1 .. S_n; map stops at n terms
@@ -262,13 +255,10 @@ def recurrence(
         g = math.gcd(num, t)
         if g != t:
             f = t // g
-            view = view or [Fraction(xk) for xk in x]
             D *= f
             x = [xk * f for xk in x]
         x.append(num // g)
-        if view:
-            view.append(Fraction(x[-1], D))
-    return QSeries._of(x, D, tuple(view) or None)
+    return QSeries._of(x, D)
 
 
 def substitute_neg(a: QSeries) -> QSeries:

@@ -163,7 +163,7 @@ class TestPsiPhi:
         assert all(c.denominator == 1 for c in psi.coeffs)
 
     def test_psi_recurrence_stays_in_int(self):
-        b = recurrence(sigma_table(200), lambda n: Fraction(2, n), 200)
+        b = recurrence(QSeries(sigma_table(200)), lambda n: Fraction(2, n), 200)
         assert all(type(bn) is int for bn in b)
 
     def test_non_integral_psi_coefficient_raises(self, monkeypatch):

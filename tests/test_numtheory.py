@@ -18,6 +18,7 @@ from foursquares.numtheory import (
     euler_quotient,
     jacobi_count,
     partitions_table,
+    pentagonal,
     r4_bruteforce,
     sigma,
     sigma3,
@@ -57,6 +58,24 @@ def partitions_by_pentagonal_loop(limit):
             k += 1
         p[n] = total
     return p
+
+
+def pentagonal_by_loop(limit):
+    """The (g, (-1)^k) pairs in the order partitions_by_pentagonal_loop
+    visits them, by its loop over k, up to g = limit."""
+    pairs = []
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        if g1 > limit:
+            break
+        sign = 1 if k % 2 else -1
+        pairs.append((g1, -sign))
+        g2 = k * (3 * k + 1) // 2
+        if g2 <= limit:
+            pairs.append((g2, -sign))
+        k += 1
+    return pairs
 
 
 def divisor_power_sieve(limit, power):
@@ -184,6 +203,22 @@ class TestEulerQuotient:
     @given(st.lists(st.integers(-(2**240), 2**240) | st.just(0), min_size=1, max_size=60))
     def test_times_euler_product_gives_back_input(self, y):
         assert times_euler_product(euler_quotient(y)) == y
+
+
+class TestPentagonal:
+    def test_matches_pentagonal_loop(self):
+        for limit in range(501):
+            assert pentagonal(limit) == pentagonal_by_loop(limit)
+
+    def test_signs_give_euler_product(self):
+        coeffs = [1] + [0] * 300
+        for g, sign in pentagonal(300):
+            coeffs[g] = sign
+        assert coeffs == times_euler_product([1] + [0] * 300)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            pentagonal(-1)
 
 
 class TestR4:

@@ -287,7 +287,7 @@ class TestRecurrenceKernel:
     def test_matches_fraction_loop(self, case):
         order, s, params = case
         weight = _weight(*params)
-        got = recurrence(s, weight, order)
+        got = recurrence(QSeries(s), weight, order)
         want = fraction_recurrence(s, weight, order)
         assert list(got.coeffs) == want
         integral = all(w.denominator == 1 for w in want)
@@ -295,9 +295,9 @@ class TestRecurrenceKernel:
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            recurrence([0, 1], lambda n: 1, 2)
+            recurrence(QSeries([0, 1]), lambda n: 1, 2)
         with pytest.raises(ValueError):
-            recurrence([0, 1], lambda n: 1, -1)
+            recurrence(QSeries([0, 1]), lambda n: 1, -1)
 
 
 class TestPow:
@@ -487,7 +487,8 @@ class TestRepresentation:
         assert a._den > 0 and math.gcd(a._den, *a._num) == 1
         assert a.coeffs == tuple(Fraction(c) for c in cs)
         assert {type(c) for c in a.coeffs} == {int if a._den == 1 else Fraction}
-        assert a.coeffs is a.coeffs
+        assert a.coeffs == a.coeffs
+        assert all(a[n] == a.coeffs[n] for n in range(len(a)))
         assert (a == b) is (a.coeffs == b.coeffs)
         if a == b:
             assert hash(a) == hash(b)
