@@ -338,14 +338,21 @@ def _law_report(identity: str, error: float, cfg: EvalConfig, ok: bool = True,
     return CheckReport(identity=identity, passed=ok and error < tol, error=error, tol=tol, **where)
 
 
-def _image(m: Mat2Z, tau: complex, floor: float = 0.05) -> complex:
-    """A tau, rejected when its imaginary part drops below the floor that
+def _image(m: Mat2Z, tau: complex, floor: float = 0.05) -> tuple[complex, complex]:
+    """(A tau - k, c tau + d) for k the nearest integer to re(A tau), formed
+    exactly from tau = (p + ir)/s as in reduce_to_fundamental and each rounded
+    once: k drops out of every law (L, M and Xi have period 1, and g and g''
+    gain one unit phase).  Rejected when im(A tau) is below the floor that
     series evaluation at A tau needs."""
-    from .modgroup import mobius
-    atau = mobius(m, tau)
+    from .modgroup import _binary, _nearest
+    p, r, s = _binary(tau)
+    x = m.c * p + m.d * s
+    dn = x * x + (m.c * r) ** 2
+    nr = (m.a * p + m.b * s) * x + m.a * m.c * r * r
+    atau = complex((nr - _nearest(nr, dn) * dn) / dn, r * s / dn)
     if atau.imag < floor:
         raise ValueError(f"im(A tau) must stay >= {floor:g} for series evaluation")
-    return atau
+    return atau, complex(x / s, m.c * r / s)
 
 
 def check_poisson(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -461,8 +468,9 @@ def check_G4_expansion(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckR
 def check_G4_transform(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """G4(A tau) = (c tau + d)^4 G4(tau) via the series evaluation."""
     tau = _require_uhp(tau)
-    lhs = G4_series(_image(m, tau))
-    rhs = (m.c * tau + m.d) ** 4 * G4_series(tau)
+    atau, j = _image(m, tau)
+    lhs = G4_series(atau)
+    rhs = j**4 * G4_series(tau)
     return _law_report("g4-weight4-law", abs(lhs - rhs) / abs(rhs), cfg,
                        tau=tau, matrix=m.format())
 
@@ -470,8 +478,7 @@ def check_G4_transform(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG)
 def check_L_quasimodular(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """L(A tau) = (c tau + d)^2 L(tau) + (6 / pi i) c (c tau + d)."""
     tau = _require_uhp(tau)
-    atau = _image(m, tau)
-    j = m.c * tau + m.d
+    atau, j = _image(m, tau)
     lhs = L_eval(atau)
     rhs = j * j * L_eval(tau) + (6.0 / (_PI * 1j)) * m.c * j
     return _law_report("quasimodular-law", abs(lhs - rhs), cfg, tau=tau, matrix=m.format())
@@ -500,8 +507,7 @@ def check_Xi_invariance(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG
         raise MembershipError(f"{m.format()} is not upper-triangular mod 4")
     if tau.imag < 0.05:
         raise ValueError("im(tau) must stay >= 0.05 for series evaluation")
-    atau = _image(m, tau)
-    j = m.c * tau + m.d
+    atau, j = _image(m, tau)
     lhs = _xi_combination(atau) / (j * j)
     return _law_report("xi-invariance", abs(lhs - _xi_combination(tau)), cfg,
                        tau=tau, matrix=m.format())
@@ -581,8 +587,7 @@ def check_weight1_invariance(
     g''(A tau) / j^3 + (pi^2/36) M(tau) j g(A tau).
     """
     tau = _require_uhp(tau)
-    atau = _image(m, tau, floor=0.1)
-    j = m.c * tau + m.d
+    atau, j = _image(m, tau, floor=0.1)
     residual = abs(_termwise_second_derivative("g", atau) / j**3
                    + (_PI**2 / 36.0) * M_eval(tau) * j * g_eval(atau))
     return _law_report("weight1-invariance", residual, cfg, tau=tau, matrix=m.format())

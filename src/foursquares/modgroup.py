@@ -282,6 +282,14 @@ def in_fundamental_domain(tau: complex, eps: float = DOMAIN_EPS) -> bool:
     return True
 
 
+def _binary(tau: complex) -> tuple[int, int, int]:
+    """(p, r, s) with tau exactly (p + ir)/s, s a power of two."""
+    p, sp = tau.real.as_integer_ratio()
+    r, sr = tau.imag.as_integer_ratio()
+    s = max(sp, sr)  # both are powers of two
+    return p * (s // sp), r * (s // sr), s
+
+
 def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
     """Move tau into D; returns (tau', w) with tau' = mobius(w.evaluate(), tau).
 
@@ -301,10 +309,7 @@ def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
     """
     if not cmath.isfinite(tau) or tau.imag <= 0:
         raise ValueError(f"tau must be finite with im(tau) > 0 (got {tau})")
-    p, sp = tau.real.as_integer_ratio()
-    r, sr = tau.imag.as_integer_ratio()
-    s = max(sp, sr)  # both are powers of two
-    p, r = p * (s // sp), r * (s // sr)
+    p, r, s = _binary(tau)
     ni = r * s
     applied: list[tuple[str, int]] = []  # letters in the order they act
     a, b, c, d = 1, 0, 0, 1

@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from operator import add, attrgetter
 
 import numpy as np
@@ -758,6 +759,77 @@ class TestWeight1:
         report = check_weight1_invariance(0.0236 + 0.1144j, MAT_S)
         assert report.passed
         assert report.error < 1e-10
+
+
+def fraction_image(m, tau):
+    """(m tau - k, c tau + d) from tau's exact value in rationals, k the
+    nearest integer to re(m tau) (ties down), each rounded once."""
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    size = (m.c * x + m.d) ** 2 + (m.c * y) ** 2
+    re = ((m.a * x + m.b) * (m.c * x + m.d) + m.a * m.c * y * y) / size
+    k = math.ceil(re - Fraction(1, 2))
+    return (complex(float(re - k), float(y / size)),
+            complex(float(m.c * x + m.d), float(m.c * y)))
+
+
+LAW_CHECKS = (check_G4_transform, check_L_quasimodular, check_Xi_invariance,
+              check_weight1_invariance)
+BASES = {"I": IDENTITY, "T": MAT_T, "U": MAT_U, "S": MAT_S, "TU": TU}
+
+
+def seeded_law_cases(count=30):
+    """(tau, T^k A0, A0) with |k| up to 10^18 and tau on a grid whose image
+    under A0 clears the weight-1 floor (Im 0.1), the highest of the checks."""
+    rng = random.Random("law-shifts")
+    grid = [complex(re, im) for re in (-0.45, -0.25, -0.1, 0.2, 0.45) for im in (0.3, 0.5, 0.8)]
+    cases = []
+    for _ in range(count):
+        base = BASES[rng.choice(sorted(BASES))]
+        tau = rng.choice([t for t in grid if fraction_image(base, t)[0].imag >= 0.1])
+        k = rng.choice((1, -1)) * rng.randint(0, 10 ** rng.randint(0, 18))
+        cases.append((tau, MAT_T**k * base, base))
+    return cases
+
+
+class TestLawsAtLargeEntries:
+    """A law check moves tau exactly and reduces A tau mod 1, so a large
+    matrix entry costs no accuracy: each check's error is that of the
+    matrix with the T^k shift taken off."""
+
+    @pytest.mark.parametrize("check, tau, m", [
+        (check_Xi_invariance, 0.1 + 0.5j, Mat2Z(1, 10**8, 0, 1)),
+        (check_L_quasimodular, 0.3 + 1.1j, Mat2Z(1, 10**10, 0, 1)),
+        (check_L_quasimodular, 0.3 + 1.1j, Mat2Z(100000001, 100000000, 1, 1)),
+        (check_L_quasimodular, 100000000.3 + 1.1j, Mat2Z(1, -10**8, 3, -299999999)),
+        (check_weight1_invariance, 0.3 + 1.1j, Mat2Z(1, 10**16, 0, 1)),
+    ])
+    def test_large_entries_pass(self, check, tau, m):
+        report = check(tau, m)
+        assert report.passed, report.describe()
+        assert report.error < 1e-13
+
+    def test_shift_drops_out(self):
+        for tau, m, base in seeded_law_cases():
+            for check in LAW_CHECKS:
+                if check is check_Xi_invariance and base is MAT_S:
+                    continue  # S is not upper-triangular mod 4
+                report = check(tau, m)
+                assert report.passed, report.describe()
+                assert report.error == check(tau, base).error, (check.__name__, tau, m)
+
+    def test_image_is_the_exact_image_rounded_once(self):
+        points = [(tau, m) for tau, m, _ in seeded_law_cases()]
+        edges = [5e-324 + 1j, 0.3 + 5e-324j, -2.5e-320 + 0.7j, 1e300 + 0.5j,
+                 0.5 + 1e300j, -1e300 + 3e300j]
+        rng = random.Random("image-edges")
+        for tau in edges:
+            for base in BASES.values():
+                k = rng.choice((1, -1)) * rng.randint(0, 10**18)
+                points += [(tau, base), (tau, MAT_T**k * base)]
+        for tau, m in points:
+            atau, j = analytic._image(m, tau, floor=0.0)
+            assert (atau, j) == fraction_image(m, tau), (tau, m)
+            assert -0.5 <= atau.real <= 0.5
 
 
 class TestCusp:
