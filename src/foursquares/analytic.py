@@ -339,20 +339,13 @@ def _law_report(identity: str, error: float, cfg: EvalConfig, ok: bool = True,
 
 
 def _image(m: Mat2Z, tau: complex, floor: float = 0.05) -> tuple[complex, complex]:
-    """(A tau - k, c tau + d) for k the nearest integer to re(A tau), formed
-    exactly from tau = (p + ir)/s as in reduce_to_fundamental and each rounded
-    once: k drops out of every law (L, M and Xi have period 1, and g and g''
-    gain one unit phase).  Rejected when im(A tau) is below the floor that
-    series evaluation at A tau needs."""
-    from .modgroup import _binary, _nearest
-    p, r, s = _binary(tau)
-    x = m.c * p + m.d * s
-    dn = x * x + (m.c * r) ** 2
-    nr = (m.a * p + m.b * s) * x + m.a * m.c * r * r
-    atau = complex((nr - _nearest(nr, dn) * dn) / dn, r * s / dn)
+    """modgroup.reduced_image, whose shift k drops out of every law (L, M and Xi have
+    period 1; g, g'' gain one unit phase); im(A tau) below floor is rejected."""
+    from .modgroup import reduced_image
+    atau, j = reduced_image(m, tau)
     if atau.imag < floor:
         raise ValueError(f"im(A tau) must stay >= {floor:g} for series evaluation")
-    return atau, complex(x / s, m.c * r / s)
+    return atau, j
 
 
 def check_poisson(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:

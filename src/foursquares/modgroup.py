@@ -220,9 +220,7 @@ def _nearest(p: int, q: int) -> int:
     if q < 0:
         p, q = -p, -q
     quot, rem = divmod(p, q)
-    if 2 * rem > q:
-        return quot + 1
-    return quot
+    return quot + (2 * rem > q)
 
 
 def decompose(m: Mat2Z) -> GenWord:
@@ -271,15 +269,9 @@ def decompose(m: Mat2Z) -> GenWord:
 
 def in_fundamental_domain(tau: complex, eps: float = DOMAIN_EPS) -> bool:
     """Membership in D, with boundary points admitted within eps."""
-    if tau.imag <= 0:
+    if tau.imag <= 0 or tau.real < -eps or tau.real > 1 + eps:
         return False
-    if tau.real < -eps or tau.real > 1 + eps:
-        return False
-    if abs(tau - 0.25) < 0.25 - eps:
-        return False
-    if abs(tau - 0.75) < 0.25 - eps:
-        return False
-    return True
+    return not (abs(tau - 0.25) < 0.25 - eps or abs(tau - 0.75) < 0.25 - eps)
 
 
 def _binary(tau: complex) -> tuple[int, int, int]:
@@ -288,6 +280,19 @@ def _binary(tau: complex) -> tuple[int, int, int]:
     r, sr = tau.imag.as_integer_ratio()
     s = max(sp, sr)  # both are powers of two
     return p * (s // sp), r * (s // sr), s
+
+
+def _act(a: int, b: int, c: int, d: int, p: int, r: int, s: int) -> tuple[int, int, int]:
+    """(Nr, Dn, x): A tau = (Nr + i rs)/Dn, c tau + d = (x + i cr)/s for tau = (p + ir)/s."""
+    x = c * p + d * s
+    return (a * p + b * s) * x + a * c * r * r, x * x + (c * r) ** 2, x
+
+
+def reduced_image(m: Mat2Z, tau: complex) -> tuple[complex, complex]:
+    """(A tau - k, c tau + d), k nearest to re(A tau): formed exactly, each rounded once."""
+    p, r, s = _binary(tau)
+    nr, dn, x = _act(m.a, m.b, m.c, m.d, p, r, s)
+    return complex((nr - _nearest(nr, dn) * dn) / dn, r * s / dn), complex(x / s, m.c * r / s)
 
 
 def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
@@ -314,9 +319,7 @@ def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
     applied: list[tuple[str, int]] = []  # letters in the order they act
     a, b, c, d = 1, 0, 0, 1
     while True:
-        x = c * p + d * s
-        dn = x * x + (c * r) ** 2
-        nr = (a * p + b * s) * x + a * c * r * r
+        nr, dn, _ = _act(a, b, c, d, p, r, s)
         shift = -(nr // dn)
         if shift:
             applied.append(("T", shift))
