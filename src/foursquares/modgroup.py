@@ -269,9 +269,15 @@ def decompose(m: Mat2Z) -> GenWord:
 
 def in_fundamental_domain(tau: complex, eps: float = DOMAIN_EPS) -> bool:
     """Membership in D, with boundary points admitted within eps."""
-    if tau.imag <= 0 or tau.real < -eps or tau.real > 1 + eps:
+    if tau.imag <= 0:
         return False
-    return not (abs(tau - 0.25) < 0.25 - eps or abs(tau - 0.75) < 0.25 - eps)
+    if tau.real < -eps or tau.real > 1 + eps:
+        return False
+    if abs(tau - 0.25) < 0.25 - eps:
+        return False
+    if abs(tau - 0.75) < 0.25 - eps:
+        return False
+    return True
 
 
 def _binary(tau: complex) -> tuple[int, int, int]:
@@ -305,12 +311,10 @@ def reduce_to_fundamental(tau: complex) -> tuple[complex, GenWord]:
     rows (c, d) satisfy that, so the loop terminates.
 
     Every step is decided exactly, in integers (W. Stein, Modular Forms: A Computational
-    Approach, ch. 1): tau is exactly (p + ir)/s, and for w = [[a, b], [c, d]]
-    and x = cp + ds, w tau = (Nr + i rs)/Dn with Dn = x^2 + (cr)^2 and
-    Nr = (ap + bs)x + ac r^2.  tau' is that point correctly rounded, and the
-    boundary of D counts as inside.  A non-finite tau or a word past
-    MAX_WORD_LETTERS letters raises ValueError; a tau' too high for a float
-    raises OverflowError.
+    Approach, ch. 1): tau is exactly (p + ir)/s, _act gives w tau as
+    (Nr + i rs)/Dn, and tau' is that point correctly rounded; the boundary of
+    D counts as inside.  A non-finite tau or a word past MAX_WORD_LETTERS
+    letters raises ValueError; a tau' too high for a float raises OverflowError.
     """
     if not cmath.isfinite(tau) or tau.imag <= 0:
         raise ValueError(f"tau must be finite with im(tau) > 0 (got {tau})")
