@@ -220,7 +220,9 @@ def _nearest(p: int, q: int) -> int:
     if q < 0:
         p, q = -p, -q
     quot, rem = divmod(p, q)
-    return quot + (2 * rem > q)
+    if 2 * rem > q:
+        return quot + 1
+    return quot
 
 
 def decompose(m: Mat2Z) -> GenWord:
