@@ -64,6 +64,7 @@ _ANALYTIC = {
     "xi": ("check_Xi_invariance", XI_DEFAULT_TAU, "MAT_U"),
     "ode-solution": ("check_ode_solution", DEFAULT_TAU, None),
     "weight1": ("check_weight1_invariance", DEFAULT_TAU, "MAT_S"),
+    "monodromy": ("check_monodromy", DEFAULT_TAU, None),
     "cusp": ("check_cusp_boundedness", None, None),
 }
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
@@ -152,6 +153,8 @@ def _cmd_expand(args):
 
 def _cmd_verify_analytic(args):
     from . import analytic
+    if args.lattice_radius is not None and args.name != "g4":
+        raise ValueError(f"verify-analytic {args.name} takes no --lattice-radius")
     settings = {f: v for f, v in vars(args).items() if f in _CONFIG_FLAGS and v is not None}
     cfg = analytic.EvalConfig(**settings)
     check_name, default_tau, default_matrix = _ANALYTIC[args.name]

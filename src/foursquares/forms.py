@@ -7,8 +7,8 @@ Constructors for the series in play:
               four-square representations of n
     series_L  1 - 24 * sum sigma(n) q^n
     series_M  1 + 240 * sum sigma3(n) q^n
-    psi       the weight-1 density factor P(q)^2, by Euler's pentagonal
-              recurrence, and three other constructions that check it
+    psi       the weight-1 density factor P(q)^2 by Euler's pentagonal recurrence,
+              checked by the sigma and sigma3 recursions (exp runs the sigma one)
     phi       the companion solution's series by reduction of order: P(q)^2
               times the term-by-term integral of prod (1-q^n)^4, checked
               against the sigma3 recursion
@@ -28,6 +28,7 @@ from .numtheory import (
     euler_quotient,
     partitions_table,
     pentagonal,
+    sigma,
     sigma3_table,
     sigma_table,
 )
@@ -98,7 +99,8 @@ def psi_by_sigma3_recursion(order: int) -> QSeries:
 
 
 def psi_by_exp(order: int) -> QSeries:
-    """psi as exp(2 * sum sigma(n)/n q^n)."""
+    """psi as exp(2 * sum sigma(n)/n q^n).  exp0 solves its q d/dq equation by
+    :func:`psi_by_recursion`'s recurrence, so this is that route, not a third."""
     if order < 0:
         raise ValueError("order must be >= 0")
     sig = sigma_table(order)
@@ -215,20 +217,13 @@ def verify_full_jacobi(order: int) -> CheckReport:
 
 
 def verify_sigma_lambert(order: int) -> CheckReport:
-    """sum sigma(n) q^n equals the Lambert sum of n q^n / (1 - q^n).
-
-    The Lambert side is built term by term: n q^n/(1-q^n) expands as the
-    geometric series sum_j n q^(nj), truncated at the working order.
-    """
+    """sum sigma(n) q^n equals the Lambert sum of n q^n / (1 - q^n), which
+    expands as sum_n sum_j n q^(nj): the sieve of `sigma_table`, checked
+    against sigma(n) by trial division."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    lambert = [0] * (order + 1)
-    for n in range(1, order + 1):
-        for m in range(n, order + 1, n):
-            lambert[m] += n
-    sig = sigma_table(order)
-    want = QSeries([0] + [sig[n] for n in range(1, order + 1)])
-    return _exact_report("sigma-lambert", order, _mismatch(QSeries(lambert), want, order))
+    want = QSeries([0] + [sigma(n) for n in range(1, order + 1)])
+    return _exact_report("sigma-lambert", order, _mismatch(QSeries(sigma_table(order)), want, order))
 
 
 def verify_psi_triple(order: int) -> CheckReport:

@@ -24,7 +24,7 @@ from foursquares.analytic import (
     check_L_quasimodular,
     check_Xi_invariance,
     check_cusp_boundedness,
-    check_g_properties,
+    check_monodromy,
     check_ode_solution,
     check_poisson,
     check_row_sum2,
@@ -292,7 +292,7 @@ class TestHorner:
         (1.0, 20.0, 11), (0.0, 1.0, 11), (0.0, 1.0, 101), (0.05, 0.5, 10), (0.2, 5.0, 25),
     ])
     def test_linspace_matches_numpy_bit_for_bit(self, start, stop, num):
-        # the grids of check_cusp_boundedness and check_g_properties
+        # the grids of check_cusp_boundedness, and one wider grid
         assert analytic._linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
@@ -655,18 +655,6 @@ class TestXiInvariance:
 
 
 class TestGandH:
-    def test_g_nowhere_zero_and_ratio_constant(self):
-        report = check_g_properties(1.1j, 0.4 + 0.9j)
-        assert report.passed
-        assert report.error < 1e-8
-
-    def test_fails_its_nonzero_test_below_tolerance(self, monkeypatch):
-        monkeypatch.setattr(analytic, "h_eval", lambda tau: 0j)
-        report = check_g_properties(1.1j, 0.4 + 0.9j)
-        assert report.error < report.tol
-        assert not report.passed
-        assert "|h(i)|=0," in report.witness
-
     def test_h_at_i_nonzero(self):
         assert abs(h_eval(1j)) > 0.1
 
@@ -693,6 +681,73 @@ class TestGandH:
         lhs = g_eval(tau - 1)
         rhs = cmath.exp(1j * math.pi / 6) * g_eval(tau)
         assert abs(lhs - rhs) < 1e-12
+
+
+def eta4_integral(mpmath):
+    """(pi/3) int_1^oo eta(it)^4 dt: F(i) for F = h/g, as F' = (pi i/3) eta^4
+    and F vanishes at the cusp i oo; eta from mpmath's q-Pochhammer symbol."""
+    eta4 = lambda t: (mpmath.exp(-mpmath.pi * t / 12) * mpmath.qp(mpmath.exp(-2 * mpmath.pi * t))) ** 4
+    return mpmath.pi / 3 * mpmath.quad(eta4, [1, mpmath.inf])
+
+
+class TestMonodromy:
+    def test_default_point(self):
+        report = check_monodromy(0.3 + 1.1j)
+        assert report.passed
+        assert report.error < 1e-14
+        assert report.tol == 1e-9
+
+    def test_f_at_i_against_the_eta4_integral(self):
+        mpmath = pytest.importorskip("mpmath")
+        f_i = complex(check_monodromy(0.3 + 1.1j).witness.removeprefix("F(i)="))
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpc(f_i) - eta4_integral(mpmath)) < 1e-15
+
+    def test_seeded_grid(self):
+        # Re in [-0.5, 0.5], Im log-uniform in [0.1, 3], kept where -1/tau
+        # also clears Im 0.1
+        rng = random.Random("monodromy")
+        points = [complex(rng.uniform(-0.5, 0.5), 0.1 * 30.0 ** rng.random()) for _ in range(300)]
+        points = [t for t in points if (-1 / t).imag >= 0.1]
+        assert len(points) > 100
+        for tau in points:
+            report = check_monodromy(tau)
+            assert report.passed, report.describe()
+            assert report.error < 1e-14, report.describe()
+
+    @pytest.mark.parametrize("name, mutate", [
+        ("h_eval", lambda f: lambda t: f(t) + 1e-6),
+        ("g_eval", lambda f: lambda t: f(t) * cmath.exp(-1j * math.pi * t * 1e-6)),
+    ], ids=["h-plus-constant", "g-exponent"])
+    def test_fails_outside_the_span(self, monkeypatch, name, mutate):
+        # h + 1e-6, and g with exponent -i pi tau (1/6 + 1e-6): neither is in
+        # span{g, h}, and each fails the laws
+        monkeypatch.setattr(analytic, name, mutate(getattr(analytic, name)))
+        report = check_monodromy(0.3 + 1.1j)
+        assert not report.passed
+        assert report.error > 1e-8
+
+    def test_scaled_h_passes(self, monkeypatch):
+        monkeypatch.setattr(analytic, "h_eval", lambda t: (0.7 - 2.1j) * h_eval(t))
+        report = check_monodromy(0.3 + 1.1j)
+        assert report.passed
+        assert report.error < 1e-14
+
+    def test_s_law_holds_for_any_basis_of_the_span(self, monkeypatch):
+        # F(i) moves with the basis, so h -> a h + b g keeps the S law.  The
+        # T law tells h from g by their eigenvalues exp(+-i pi/6), so b g is
+        # given h's eigenvalue at tau + 1, the one point the check takes with
+        # round(re) = 1: there the check sees the S law alone
+        a, b, w = 0.7 - 2.1j, 0.4 + 1.3j, cmath.exp(1j * math.pi / 3)
+        mixed = lambda t: a * h_eval(t) + b * g_eval(t) * w ** round(t.real)
+        monkeypatch.setattr(analytic, "h_eval", mixed)
+        for tau in (0.3 + 1.1j, -0.2 + 0.8j, 0.45 + 1.5j):
+            report = check_monodromy(tau)
+            assert report.passed, report.describe()
+            assert report.error < 1e-14
+        # and with the plain a h + b g, the T law fails
+        monkeypatch.setattr(analytic, "h_eval", lambda t: a * h_eval(t) + b * g_eval(t))
+        assert not check_monodromy(0.3 + 1.1j).passed
 
 
 class TestOdeSolution:

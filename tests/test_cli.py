@@ -234,11 +234,30 @@ class TestVerifyAnalytic:
         ["poisson", "--matrix", "[[1,1],[0,1]]"],
         ["cusp", "--tau", "0.3,1", "--matrix", "[[1,1],[0,1]]"],
         ["theta-transform", "--matrix", "[[1,1],[0,1]]"],
+        ["theta-transform", "--lattice-radius", "50"],
+        ["poisson", "--lattice-radius", "10001"],
+        ["cusp", "--lattice-radius", "50"],
+        ["monodromy", "--lattice-radius", "50"],
+        ["monodromy", "--matrix", "[[0,-1],[1,0]]"],
     ])
     def test_flag_the_check_does_not_take_is_usage_error(self, argv):
         code, out, err = invoke(["verify-analytic", *argv])
         assert code == 2 and out == ""
         assert f"verify-analytic {argv[0]} takes no" in err
+
+    def test_monodromy_default(self):
+        code, out, err = invoke(["verify-analytic", "monodromy", "--format", "json"])
+        assert code == 0 and err == ""
+        doc = _strict_json(out)
+        assert doc["pass"] is True and doc["identity"] == "monodromy"
+        assert doc["error"] < 1e-14
+        assert doc["witness"].startswith("F(i)=(0.35054552633136")
+
+    def test_monodromy_names_the_image_below_the_floor(self):
+        # -1/tau has im 0.029 for tau = 3.2 + 0.3i
+        code, out, err = invoke(["verify-analytic", "monodromy", "--tau", "3.2,0.3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: at -1/tau, im 0.029, for im(tau) = 0.3: ")
 
     def test_xi_outside_group_fails(self):
         code, _, err = invoke(
@@ -522,19 +541,20 @@ def test_import_probe_sees_numpy():
 
 
 _NO_FORMS = ("dataclasses", "foursquares.forms", "foursquares.qseries", "fractions")
+_G_AND_H = ("ode-solution", "weight1", "monodromy")
 
 
 # Each subcommand imports only the package modules it runs, no process
 # imports dataclasses, and verify, expand and r4 import no numpy.  Only
-# ode-solution and weight1 of the analytic checks evaluate g or h, whose
-# tables come from `forms`.
+# ode-solution, weight1 and monodromy of the analytic checks evaluate g or
+# h, whose tables come from `forms`.
 _LOAD_CASES = [
     ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"]],
      ("dataclasses", "foursquares.modgroup", "numpy")),
     ([["reduce-tau", "5.3,2"], ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"],
-      *[["verify-analytic", c] for c in ANALYTIC_CHECKS if c not in ("ode-solution", "weight1")]],
+      *[["verify-analytic", c] for c in ANALYTIC_CHECKS if c not in _G_AND_H]],
      _NO_FORMS),
-    ([["verify-analytic", "ode-solution"], ["verify-analytic", "weight1"]], ("dataclasses",)),
+    ([["verify-analytic", c] for c in _G_AND_H], ("dataclasses",)),
 ]
 
 

@@ -304,8 +304,14 @@ class TestFailureWitnesses:
         assert self._failure(verify_final_proportionality, 30) == "coefficient 5: got 98, expected 96"
 
     def test_series_identity_mismatch(self, monkeypatch):
+        # the sieve is the Lambert side, so a wrong table is what was got
         monkeypatch.setattr(forms, "sigma_table", lambda order: [0, 2] + [0] * (order - 1))
-        assert self._failure(verify_sigma_lambert, 10) == "coefficient 1: got 1, expected 2"
+        assert self._failure(verify_sigma_lambert, 10) == "coefficient 1: got 2, expected 1"
+
+    def test_lambert_mismatch_in_trial_division(self, monkeypatch):
+        # sigma(n) by trial division is the other side: a wrong sigma(7) fails
+        monkeypatch.setattr(forms, "sigma", lambda n: sigma(n) + (n == 7))
+        assert self._failure(verify_sigma_lambert, 10) == "coefficient 7: got 8, expected 9"
 
 
 class TestNamedLookup:
