@@ -17,9 +17,9 @@ from typing import Sequence
 
 # r4_bruteforce takes about 4n steps and one table of n + 1 ints (0.05-0.1 s
 # and 1.6 MB at n = 2 * 10^5); the `foursquares r4` subcommand around it
-# also forms theta^4 to order n, which costs about n^2 and sets its cost.
-# Measured for the whole subcommand on a 2-core VM: 0.8-1.2 s at n = 10^5
-# and 2.2-2.8 s (47 MB peak RSS) at 2 * 10^5.
+# also forms theta^4 to order n, which costs about n^1.6 (Karatsuba on the
+# packed ints) and sets its cost.  Measured for the whole subcommand on a
+# 2-core VM: 0.8-0.9 s at n = 10^5 and 1.6-2.8 s (32 MB peak RSS) at 2 * 10^5.
 R4_MAX_N = 200_000
 
 # Tables up to the largest analytic asks for under its _MAX_TERMS (sizes

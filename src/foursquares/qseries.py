@@ -103,7 +103,10 @@ class QSeries:
 
     def truncated(self, order: int) -> "QSeries":
         """This series rewritten to the given (possibly larger) order."""
-        return self if order == self.order else QSeries(self.coeffs, order=order)
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        return self if order == self.order else QSeries._of(
+            self._num[: order + 1] + (0,) * (order - self.order), self._den)
 
     # ---------------------------------------------------------------- ring ops
 
@@ -177,9 +180,10 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     Kronecker substitution: each factor is packed into one int with a
     w-byte slot per coefficient, so one int product holds c_k in slot k (a
     square packs once).  Slots are signed: each holds the two's complement
-    of its value, and every |c_k| is below the bound on the largest sum any
-    c_k can reach, which has fewer than 8w bits, so w leaves room for the
-    sign bit and nothing carries into the next slot.  XOR with H = 2^(8w-1)
+    of its value.  By Cauchy-Schwarz, and as c_k is an int, every |c_k| is
+    at most isqrt(sum a_i^2 * sum b_j^2), never above max|a| max|b| (n + 1);
+    that bound has fewer than 8w bits, so w leaves room for the sign bit
+    and nothing carries into the next slot.  XOR with H = 2^(8w-1)
     in every slot (Hs) maps a two's-complement x to x + H >= 0, so a packed
     factor is (bytes read as unsigned ^ Hs) - Hs, and the low n + 1 slots
     of (product + Hs) ^ Hs are the c_k in two's complement.  Slots convert
@@ -190,9 +194,11 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     square = b is a
     a = a[: n + 1]
     b = a if square else b[: n + 1]
-    if not any(a) or not any(b):
+    norm_a = sum(map(operator.mul, a, a))
+    norm_b = norm_a if square else sum(map(operator.mul, b, b))
+    if norm_a == 0 or norm_b == 0:
         return [0] * (n + 1)
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    bound = math.isqrt(norm_a * norm_b)
     width = (bound.bit_length() + 8) // 8
     width, code = next(((size, c) for size, c in _SLOT_CODES.items() if size >= width),
                        (width, ""))

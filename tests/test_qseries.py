@@ -188,7 +188,43 @@ def _boundary_pair(bits, above):
     return QSeries([m, -m, m]), QSeries([1, -1, 1, 0])
 
 
-# the same object twice: a square packs its one factor once, in 2-byte
+def _slot_sizes(a, b, n):
+    """The product `_convolve(a, b, n)` and the item sizes of the `array`
+    codes it packed and unpacked with (empty when the slots are wider than 8
+    bytes and go one int at a time)."""
+    real, codes = qseries.array, []
+
+    def spy(code, *args):
+        codes.append(code)
+        return real(code, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "array", spy)
+        product = qseries._convolve(a, b, n)
+    return product, {real(code).itemsize for code in codes}
+
+
+def _max_product_slot_size(a, b):
+    """The slot size max|a| max|b| (n + 1) gives for two factors of n + 1
+    coefficients, rounded up to an `array` item size where one fits."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
+    width = (bound.bit_length() + 8) // 8
+    return min((size for size in qseries._SLOT_CODES if size >= width), default=width)
+
+
+@st.composite
+def equal_length_factors(draw):
+    """Two int lists of one length, with entries below 2^bits for a drawn
+    bits (so every slot fits 8 bytes); b is a itself when drawn, a square."""
+    length = draw(st.integers(min_value=1, max_value=40))
+    bits = draw(st.integers(min_value=0, max_value=28))
+    ints = st.lists(st.integers(min_value=-(2**bits), max_value=2**bits),
+                    min_size=length, max_size=length)
+    a = draw(ints)
+    return a, a if draw(st.booleans()) else draw(ints)
+
+
+# the same object twice: a square packs its one factor once, in 1-byte
 # slots and in wide ones
 _signed_square = QSeries([-3, 5, 0, -7])
 _wide_square = QSeries([2**70, -3, -(2**70)])
@@ -220,6 +256,43 @@ class TestMulKernel:
         assert qseries._convolve(a._num, b._num, n) == bytes_split_convolve(a._num, b._num, n)
         want_type = int if got._den == 1 else Fraction
         assert all(type(c) is want_type for c in got.coeffs)
+
+    def test_theta_products_pack_narrow_slots(self):
+        # Cauchy-Schwarz bounds theta*theta's coefficients by 89 and the
+        # square of theta^2 by 2^15 at order 500, so 1- and 2-byte slots
+        # hold them, where max|a| max|b| (n + 1) asked for 2 and 4 bytes
+        t = theta(500)
+        got, sizes = _slot_sizes(t._num, theta(500)._num, 500)
+        assert sizes == {1}
+        t2 = QSeries(got)
+        assert t2 == schoolbook_mul(t, t)
+        got, sizes = _slot_sizes(t2._num, t2._num, 500)
+        assert sizes == {2}
+        assert QSeries(got) == schoolbook_mul(t2, t2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_length_factors())
+    @example(([1, 2, 0, 2], [1, 2, 0, 2]))
+    @example(([0, 0, 0], [5, -3, 1]))
+    @example(([2**28] * 40, [-(2**28)] * 40))
+    def test_slots_never_wider_than_the_max_product_bound(self, factors):
+        a, b = factors
+        n = len(a) - 1
+        got, sizes = _slot_sizes(a, b, n)
+        assert got == bytes_split_convolve(a, b, n)
+        if not any(a) or not any(b):
+            assert sizes == set()
+        else:
+            assert len(sizes) == 1 and max(sizes) <= _max_product_slot_size(a, b)
+
+    @pytest.mark.parametrize("bits", [7, 15, 31, 63])
+    def test_boundary_pairs_straddle_a_slot_size(self, bits):
+        # c_2 = 3m = |a|_2 |b|_2: tight under Cauchy-Schwarz as under max*max*len
+        (a, b), (wider_a, wider_b) = _boundary_pair(bits, 0), _boundary_pair(bits, 1)
+        _, below = _slot_sizes(a._num, b._num, 2)
+        _, above = _slot_sizes(wider_a._num, wider_b._num, 2)
+        assert below == {(bits + 1) // 8}
+        assert above == ({(bits + 1) // 4} if bits < 63 else set())
 
     def test_theta4_at_4000_matches_jacobi(self):
         t4 = theta4(4000)
@@ -500,3 +573,12 @@ class TestRepresentation:
             assert same._den == a._den and same._num == a._num
         with pytest.raises(TypeError):
             QSeries([*cs, 0.5])
+
+    def test_truncated_reduces_to_lowest_terms(self):
+        # truncating away the coefficient that carries the denominator
+        a = QSeries([1, Fraction(1, 3)])
+        assert a.truncated(0) == QSeries([1])
+        assert a.truncated(0)._den == 1 and type(a.truncated(0)[0]) is int
+        assert a.truncated(3) == QSeries([1, Fraction(1, 3), 0, 0])
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            a.truncated(-1)
