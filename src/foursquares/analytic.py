@@ -68,17 +68,16 @@ TOLERANCES = {
 CUSP_MODULUS_BOUND = 1e3
 CUSP_CONTROL_THRESHOLD = 1e-3
 
-# Ceiling on the lattice radius R, the one cutoff that sets a check's cost:
-# G4_lattice takes time linear in R in the memory of one row.  On a 2-core
-# VM (Python 3.11.7), R = 10^4 took 0.12 s at 0.3+1.1i and 0.27 s at
-# 0.001+0.001i, where every row takes the wide window.
+# Ceiling on the lattice radius R, which G4_lattice takes from its tail bound
+# (see _lattice_radius); the default 3000 binds below about im 0.0055.  Time is
+# linear in R: 0.17 s at R = 10^4 and 0.001+0.001i (2-core VM, Python 3.11.7).
 MAX_LATTICE_RADIUS = 10_000
 
 # Half-widths of the windows of d that rows sum term by term, before the
 # Euler-Maclaurin tails (see _row_sum_left).  A lattice row of im Y rounds
-# by at least 16 u (1/4 + Y^2)^-2; its remainder stays under 1% of that at
-# window 16 for Y < 32 and at window 0 from Y = 32 on (where it falls ~Y^-19).
-_ROW_WINDOW, _LATTICE_WINDOW, _NARROW_ROW_HEIGHT = 48, 16, 32.0
+# by at least 16 u (1/4 + Y^2)^-2; at window 16 its remainder stays under 1%
+# of that at every Y (0.84% at worst, near Y = 7.3).
+_ROW_WINDOW, _LATTICE_WINDOW = 48, 16
 
 # Per even power k, _row_sum_left's tail coefficients beta_r =
 # B_2r (k)_(2r-1) / (2r)!, r = 1..8, (k)_r the rising factorial, and its
@@ -88,16 +87,23 @@ _TAILS = {k: ([num * math.prod(range(k, k + 2 * r - 1)) / (den * math.factorial(
                for r, (num, den) in enumerate(_BERNOULLI, 1)],
               2 * 3617 * math.prod(range(k, k + 16)) / (510 * math.factorial(16) * (k + 15)))
           for k in (2, 4)}
+# (s, C_m), s = 4 + 2m, m = 1..8: a weight-4 row of im Y is at most C_m Y^(1-s),
+# C_m = |B_2m| (4)_2m / (2m)! = |beta_m| (2m + 3) times sqrt(pi) Gamma(m + 3/2) /
+# Gamma(m + 2) (see _lattice_radius).  The omitted rows' bound must meet
+# _LATTICE_TARGET, about 0.5% of the 16u zeta(4) of rounding every lattice sum carries.
+_ROW_BOUNDS = [(4 + 2 * m, abs(beta) * (2 * m + 3) * math.sqrt(_PI) * math.gamma(m + 1.5)
+                / math.gamma(m + 2)) for m, beta in enumerate(_TAILS[4][0], 1)]
+_LATTICE_TARGET = 1e-17
 
 
 class EvalConfig(Record):
-    """What the checks may vary: lattice cutoff R and an optional tolerance
-    override (None = per-check default).
+    """What the checks may vary: a ceiling on the lattice radius R and an
+    optional tolerance override (None = per-check default).
 
-    Series term counts are not configurable: each comes from its tail bound
-    (see :func:`_truncated_sum` and :func:`theta_eval`), and the row sums
-    have no cutoff in d (see :func:`_row_sum_left`), so tol changes
-    verdicts only, never a computed value.
+    Truncation points come from bounds, never from here: series term counts
+    from tails (:func:`_truncated_sum`, :func:`theta_eval`), the row sums
+    take every d (:func:`_row_sum_left`) and R the omitted rows' bound
+    (:func:`_lattice_radius`), so tol changes verdicts only.
     """
 
     __slots__ = ("lattice_radius", "tol")
@@ -293,34 +299,52 @@ def h_eval(tau: complex) -> complex:
     return _weight1(1, tau, _phi_np)
 
 
+def _lattice_radius(y: float, ceiling: int) -> tuple[int, float]:
+    """(R, bound on the rows |c| > R) for G4_lattice at im(tau) = y.
+
+    Euler-Maclaurin over all of Z (DLMF 2.10.1, §24.9) leaves a row of im Y
+    its remainder alone, as the boundary terms and the integral vanish: at
+    most |B_2m| (4)_2m / (2m)! times the beta integral (DLMF 5.12.3) of
+    |t + x|^-s, which is C_m Y^(1-s).  So the rows +-c, c > R, Y = c y, sum
+    to at most 2 C_m y^(1-s) R^(2-s) / (s - 2).  R is the least radius up to
+    ceiling that puts one m's bound under _LATTICE_TARGET, in closed form
+    per m.  The bound is the least over m and the moduli bound pi/(2 R^2
+    y^3) + 2/(3 R^3 y^4) (a row's integral pi/(2 Y^3) plus its peak Y^-4),
+    smaller where the ceiling binds; in logs, and it raises past double range.
+    """
+    logy, cap, target = math.log(y), math.log(ceiling), math.log(_LATTICE_TARGET)
+    arms = [(math.log(2.0 * cm / (s - 2)) + (1 - s) * logy, s - 2) for s, cm in _ROW_BOUNDS]
+    radius = max(1, min(ceiling, *(math.ceil(math.exp(min(cap, (a - target) / p)))
+                                   for a, p in arms)))
+    logr = math.log(radius)
+    moduli = math.log(_PI / 2.0 + 2.0 / (3.0 * radius * y)) - 2.0 * logr - 3.0 * logy
+    try:
+        return radius, math.exp(min(moduli, *(a - p * logr for a, p in arms)))
+    except OverflowError:
+        raise ValueError(f"im(tau) = {y:g} too small: the bound on the lattice rows past "
+                         f"|c| = {radius} leaves the range of double precision") from None
+
+
 def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
     """The weight-4 lattice sum over the rows |c| <= R, and a bound on its
     distance from the sum over all (c, d) != (0, 0).
 
-    Rows c and -c agree and row 0 is 2 zeta(4), so the sum is
-    pi^4/45 + 2 sum_(c=1..R) row(c tau), each row by :func:`_row_sum_left`
-    at c tau - round(c re tau), formed in ints from re(tau)'s exact ratio
-    and rounded once.  The bound adds the omitted rows, traced without the
-    row identity under test: with Y = |c| y, y = im(tau), sum_d
-    |c tau + d|^-4 is at most the integral pi/(2 Y^3) of its unimodal
-    summand plus its peak Y^-4, which the integral over |c| > R sums to
-    pi/(2 R^2 y^3) + 2/(3 R^3 y^4).  It adds twice the rows' bounds, 8u of
-    pi^4/90 and sqrt(2) u of the total for the last fsum.
-    """
+    Rows c and -c agree and row 0 is 2 zeta(4), so the sum is pi^4/45 + 2
+    sum_(c=1..R) row(c tau), each by :func:`_row_sum_left` at c tau - round(c
+    re tau), formed in ints from re(tau)'s exact ratio and rounded once.  R
+    and the omitted rows' bound come from :func:`_lattice_radius`, under the
+    ceiling cfg.lattice_radius; the bound adds twice the rows' bounds, 8u of
+    pi^4/90 and sqrt(2) u of the total for the last fsum."""
     tau = _require_uhp(tau)
-    radius, y = cfg.lattice_radius, tau.imag
+    y = tau.imag
+    radius, omitted = _lattice_radius(y, cfg.lattice_radius)
     num, den = tau.real.as_integer_ratio()
-    rows, bound = [], 0.0
-    for c in range(1, radius + 1):
-        window = _LATTICE_WINDOW if c * y < _NARROW_ROW_HEIGHT else 0
-        t = complex(((2 * c * num + den) % (2 * den) - den) / (2 * den), c * y)
-        row, err = _row_sum_left(t, 4, window)
-        rows.append(row)
-        bound += err
+    shift = lambda c: ((2 * c * num + den) % (2 * den) - den) / (2 * den)  # c re tau, mod 1
+    rows, bounds = zip(*(_row_sum_left(complex(shift(c), c * y), 4, _LATTICE_WINDOW)
+                         for c in range(1, radius + 1)))
     zeta4 = _PI**4 / 90.0
     total = 2.0 * complex(math.fsum([zeta4, *map(_REAL, rows)]), math.fsum(map(_IMAG, rows)))
-    omitted = _PI / (2.0 * radius**2 * y**3) + 2.0 / (3.0 * radius**3 * y**4)
-    return total, omitted + 2.0 * (bound + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
+    return total, omitted + 2.0 * (sum(bounds) + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
 
 
 def G4_series(tau: complex) -> complex:
@@ -448,16 +472,18 @@ def check_row_sum4(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckRepor
 def check_G4_expansion(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """Lattice sum by rows against the sigma3 q-expansion, relative error.
 
-    The tolerance is the bound of :func:`G4_lattice` (omitted rows, 1.3e-7
-    at the default tau and R = 3000, and rounding) plus (pi^4/45) 240 times
-    the bound of the sum that gives M, relative to the series."""
+    The tolerance is the bound of :func:`G4_lattice` (rounding, and omitted
+    rows under 1e-17) plus (pi^4/45) 240 times the bound of the sum that
+    gives M, relative to the series: 5.3e-15 at the default tau, where R is
+    12.  The witness names R and the omitted rows' bound."""
     tau = _require_uhp(tau)
+    radius, omitted = _lattice_radius(tau.imag, cfg.lattice_radius)
     m, m_bound = _M_sum(tau)
     series = (_PI**4 / 45.0) * m
     lattice, bound = G4_lattice(tau, cfg)
     tol = (bound + (_PI**4 / 45.0) * m_bound) / abs(series)
-    return _law_report("g4-lattice-vs-series", abs(lattice - series) / abs(series), cfg,
-                       default_tol=tol, tau=tau)
+    return _law_report("g4-lattice-vs-series", abs(lattice - series) / abs(series), cfg, default_tol=tol,
+                       tau=tau, witness=f"rows |c|<={radius}, omitted<={omitted:.1e}")
 
 
 def check_G4_transform(tau: complex, m: Mat2Z, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
@@ -583,13 +609,11 @@ def check_weight1_invariance(
 def _xi_tilde(tilde: complex) -> complex:
     """The invariant combination viewed at the cusp: the coordinate change
     tau = -1/(4 tilde) with Jacobian 1/(4 tilde^2)."""
-    tau = -1.0 / (4.0 * tilde)
-    return _xi_combination(tau) / (4.0 * tilde * tilde)
+    return _xi_combination(-1.0 / (4.0 * tilde)) / (4.0 * tilde * tilde)
 
 
 def _single_term_tilde(tilde: complex) -> complex:
-    tau = -1.0 / (4.0 * tilde)
-    return L_eval(tau) / (4.0 * tilde * tilde)
+    return L_eval(-1.0 / (4.0 * tilde)) / (4.0 * tilde * tilde)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -603,32 +627,14 @@ def check_cusp_boundedness(cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """Behaviour at the cusp: the combination stays bounded and 1-periodic
     on the rectangle {0 <= x <= 1, 1 <= y <= 20} (plus a dense y = 1 line),
     whereas either L-term alone visibly fails periodicity (the negative
-    control).  A theta-ratio sweep toward the real axis is reported for
-    information only; no quantitative bound is stated for it.
-    """
-    pts = [
-        complex(x, y)
-        for y in _linspace(1.0, 20.0, 11)
-        for x in _linspace(0.0, 1.0, 11)
-    ]
+    control)."""
+    pts = [complex(x, y) for y in _linspace(1.0, 20.0, 11) for x in _linspace(0.0, 1.0, 11)]
     dense = [complex(x, 1.0) for x in _linspace(0.0, 1.0, 101)]
-    max_mod = 0.0
-    max_defect = 0.0
-    for pt in pts + dense:
-        v = _xi_tilde(pt)
-        max_mod = max(max_mod, abs(v))
-        max_defect = max(max_defect, abs(_xi_tilde(pt + 1.0) - v))
-    control = max(
-        abs(_single_term_tilde(pt + 1.0) - _single_term_tilde(pt))
-        for pt in dense[::10]
-    )
-    ratio = max(
-        abs(theta_eval(complex(0.5, t)) ** 4 / theta_eval(complex(0.0, t)) ** 4)
-        for t in _linspace(0.05, 0.5, 10)
-    )
+    values = [(_xi_tilde(pt), _xi_tilde(pt + 1.0)) for pt in pts + dense]
+    max_mod, max_defect = max(abs(v) for v, _ in values), max(abs(w - v) for v, w in values)
+    control = max(abs(_single_term_tilde(pt + 1.0) - _single_term_tilde(pt)) for pt in dense[::10])
     return _law_report(
         "cusp-boundedness", max_defect, cfg,
         ok=max_mod < CUSP_MODULUS_BOUND and control > CUSP_CONTROL_THRESHOLD,
         witness=f"max modulus={max_mod:.4g} (bound {CUSP_MODULUS_BOUND:g}), "
-        f"control defect={control:.3e} (must exceed {CUSP_CONTROL_THRESHOLD:g}), "
-        f"theta ratio sweep max={ratio:.4g} (informational)")
+        f"control defect={control:.3e} (must exceed {CUSP_CONTROL_THRESHOLD:g})")

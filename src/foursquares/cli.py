@@ -68,9 +68,6 @@ _ANALYTIC = {
     "cusp": ("check_cusp_boundedness", None, None),
 }
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
-# verify-analytic flags that set the EvalConfig field of the same name, with
-# their types; an omitted flag leaves that field's EvalConfig default in place
-_CONFIG_FLAGS = {"lattice_radius": int, "tol": float}
 
 # Ceiling on expand/verify --order.  At 3000 a whole run takes 5.2-5.6 s for
 # `verify psi-triple`, 1.5-1.7 s for `expand phi` and 0.05-0.09 s for every
@@ -153,10 +150,7 @@ def _cmd_expand(args):
 
 def _cmd_verify_analytic(args):
     from . import analytic
-    if args.lattice_radius is not None and args.name != "g4":
-        raise ValueError(f"verify-analytic {args.name} takes no --lattice-radius")
-    settings = {f: v for f, v in vars(args).items() if f in _CONFIG_FLAGS and v is not None}
-    cfg = analytic.EvalConfig(**settings)
+    cfg = analytic.EvalConfig(tol=args.tol)
     check_name, default_tau, default_matrix = _ANALYTIC[args.name]
     if default_matrix is not None:
         from . import modgroup
@@ -240,8 +234,7 @@ _COMMANDS = {
         ("name", dict(choices=ANALYTIC_CHECKS)),
         ("--tau", dict(type=_parse_tau)),
         ("--matrix", dict(type=_parse_matrix_arg)),
-        *(("--" + field.replace("_", "-"), dict(type=kind))
-          for field, kind in _CONFIG_FLAGS.items()),
+        ("--tol", dict(type=float)),
     ), _cmd_verify_analytic),
     "r4": ("four-square count three ways", (("n", dict(type=int)),), _cmd_r4),
     "reduce-tau": ("reduce a point into the fundamental domain", (

@@ -4,6 +4,7 @@ stated preconditions actually reject what they claim to."""
 import cmath
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from operator import add, attrgetter
@@ -513,11 +514,52 @@ class TestG4:
         assert abs(got - want) <= bound + shell_tail_bound(tau, R) + shells_rounding
 
     def test_rows_converge_at_rounding_level(self):
-        # at Im 1.1 rows past c = 20 are below 1e-50 in exact arithmetic,
-        # so every radius from there on gives the same sum within rounding
-        small, _ = G4_lattice(0.3 + 1.1j, EvalConfig(lattice_radius=20))
-        large, _ = G4_lattice(0.3 + 1.1j, EvalConfig(lattice_radius=3000))
+        # at Im 1.1 the rows past the chosen R = 12 are below 1e-17, so the
+        # first 3,000 rows summed here give the same sum within rounding
+        tau = 0.3 + 1.1j
+        rows = [analytic._row_sum_left(c * tau, 4, 16)[0] for c in range(1, 3001)]
+        large = 2 * (math.fsum([math.pi**4 / 90, *(r.real for r in rows)])
+                     + 1j * math.fsum(r.imag for r in rows))
+        small, _ = G4_lattice(tau, EvalConfig(lattice_radius=3000))
         assert abs(small - large) < 1e-15 * abs(large)
+
+    @pytest.mark.parametrize("y, radius", [(1.1, 12), (0.5, 26), (0.1, 141), (0.01, 1595)])
+    def test_radius_is_the_least_that_meets_the_target(self, y, radius):
+        got, omitted = analytic._lattice_radius(y, 3000)
+        assert (got, omitted <= analytic._LATTICE_TARGET) == (radius, True)
+        # one row fewer, forced by the ceiling, misses the target
+        assert analytic._lattice_radius(y, radius - 1)[1] > analytic._LATTICE_TARGET
+
+    @pytest.mark.parametrize("y", [1e-3, 1e-5])
+    def test_bound_never_above_the_moduli_bound_where_the_ceiling_binds(self, y):
+        # the bound of the rows |c| > 3000 from their moduli alone, which
+        # G4_lattice added at every point before R came from the tail bound
+        radius, omitted = analytic._lattice_radius(y, 3000)
+        assert radius == 3000
+        assert omitted <= math.pi / (2 * 3000**2 * y**3) + 2 / (3 * 3000**3 * y**4)
+
+    @pytest.mark.parametrize("tau, height", [
+        (0.3 + 1e-300j, "1e-300"), (0.3 + 1e-120j, "1e-120"), (0.3 + 1e80j, "1e+80")])
+    def test_heights_beyond_double_range_raise_naming_them(self, tau, height):
+        # near the axis the omitted rows' bound leaves double range (y^3 or
+        # y^4 underflowed in it once, a ZeroDivisionError); far above it a
+        # row's terms do
+        with pytest.raises(ValueError, match=rf"im\(tau\) = {re.escape(height)}"):
+            G4_lattice(tau)
+
+    def test_one_wrong_row_fails_the_check(self, monkeypatch):
+        # row 1 is about a quarter of |G4| at the default tau: 1e-12 of it
+        # is far above a tolerance at rounding level
+        assert check_G4_expansion(0.3 + 1.1j).passed
+        row_sum = analytic._row_sum_left
+
+        def scaled(t, power, window=analytic._ROW_WINDOW):
+            value, bound = row_sum(t, power, window)
+            return value * (1 + 1e-12) if t.imag == 1.1 else value, bound
+
+        monkeypatch.setattr(analytic, "_row_sum_left", scaled)
+        report = check_G4_expansion(0.3 + 1.1j)
+        assert not report.passed and report.error > 10 * report.tol
 
     @pytest.mark.parametrize("m", [MAT_S, MAT_T])
     def test_weight4_law_series_path(self, m):
@@ -593,10 +635,26 @@ class TestReferenceTier:
             e = 4 + 1.35 * 2 * math.pi * abs(tau - round(tau.real)) + 3
             assert float(abs(mpmath.mpc(got) - xi)) <= 48 * float(abs(q)) * (stated + e * U * abs(s))
 
+    def test_row_bound_covers_every_row(self):
+        # C_m Y^(1-s), least over m, against the row in closed form on a
+        # seeded grid; it is traced without the row identity or the
+        # q-expansion.  It is blind to re t, so it is tight where the row
+        # barely depends on it, within 8 times |row| from Y = 0.5 to 2
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random("lattice-row-bound")
+        points = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 10.0)) for _ in range(40)]
+        with mpmath.workdps(40):
+            for t in points + [0.3 + 0.05j, 0.5 + 10j]:
+                bound = min(cm * t.imag ** (1 - s) for s, cm in analytic._ROW_BOUNDS)
+                row = float(abs(row_reference(mpmath, t, 4)))
+                assert row <= bound, t
+                if 0.5 <= t.imag <= 2:
+                    assert bound <= 8.5 * row, t
+
     @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.3 + 1.2j, 0.1 + 0.1j])
     def test_lattice_within_its_stated_bound(self, tau):
-        # the bound is dominated by the omitted rows, traced without the row
-        # identity; the sum itself lands at rounding level
+        # the omitted rows, traced without the row identity, are bounded
+        # under 1e-17, so rounding sets the bound; the sum lands at that level
         mpmath = pytest.importorskip("mpmath")
         got, bound = G4_lattice(tau)
         with mpmath.workdps(40):

@@ -147,13 +147,22 @@ class TestVerifyAnalytic:
         assert code == 0
 
     def test_g4_small_radius(self):
+        # the radius comes from the omitted rows' bound: 13 rows at tau = i
         code, out, _ = invoke(
-            ["verify-analytic", "g4", "--tau", "0,1", "--lattice-radius", "600",
-             "--tol", "1e-4", "--format", "json"]
+            ["verify-analytic", "g4", "--tau", "0,1", "--tol", "1e-4", "--format", "json"]
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["error"] < 1e-4
+        assert doc["witness"].startswith("rows |c|<=13, omitted<=")
+
+    def test_g4_default_tolerance_at_rounding_level(self):
+        # the omitted rows' bound is under 1e-17, so rounding sets the tolerance
+        code, out, err = invoke(["verify-analytic", "g4", "--format", "json"])
+        assert code == 0 and err == ""
+        doc = _strict_json(out)
+        assert doc["pass"] is True and doc["error"] < doc["tol"] < 1e-14
+        assert doc["witness"] == "rows |c|<=12, omitted<=2.7e-18"
 
     def test_row_sums(self):
         for check in ("row-sum2", "row-sum4"):
@@ -201,18 +210,22 @@ class TestVerifyAnalytic:
         assert out.startswith("PASS ode-solution")
 
     @pytest.mark.parametrize("argv", [
-        ["g4", "--lattice-radius", "10001"],
-        ["g4", "--lattice-radius", "100000000"],
+        ["g4", "--tau", "0.3,1e-120"],
+        ["g4", "--tau", "0.3,1e-300"],
     ])
     def test_cutoff_above_ceiling_is_usage_error(self, argv):
+        # the radius the omitted rows need passes the ceiling of 3,000, and
+        # the bound on the rows past it leaves double range
         code, out, err = invoke(["verify-analytic", *argv])
         assert code == 2 and out == ""
-        assert "must be <=" in err
+        assert f"im(tau) = {argv[-1][4:]} too small" in err
 
     def test_series_order_flag_is_unrecognized(self):
         # term counts come from tail bounds, and the row sums take every d
         # through their Euler-Maclaurin tails; there is no flag to raise either
-        for name, flag in (("ode-solution", "--series-order"), ("row-sum2", "--row-cutoff")):
+        # nor the lattice radius, which the omitted rows' bound sets
+        for name, flag in (("ode-solution", "--series-order"), ("row-sum2", "--row-cutoff"),
+                           ("g4", "--lattice-radius")):
             code, out, err = invoke(["verify-analytic", name, flag, "5000"])
             assert code == 2 and out == ""
             assert f"unrecognized arguments: {flag}" in err
@@ -234,11 +247,11 @@ class TestVerifyAnalytic:
         ["poisson", "--matrix", "[[1,1],[0,1]]"],
         ["cusp", "--tau", "0.3,1", "--matrix", "[[1,1],[0,1]]"],
         ["theta-transform", "--matrix", "[[1,1],[0,1]]"],
-        ["theta-transform", "--lattice-radius", "50"],
-        ["poisson", "--lattice-radius", "10001"],
-        ["cusp", "--lattice-radius", "50"],
-        ["monodromy", "--lattice-radius", "50"],
         ["monodromy", "--matrix", "[[0,-1],[1,0]]"],
+        ["g4", "--matrix", "[[0,-1],[1,0]]"],
+        ["row-sum4", "--matrix", "[[1,1],[0,1]]"],
+        ["ode-solution", "--matrix", "[[0,-1],[1,0]]"],
+        ["cusp", "--tau", "0.3,1"],
     ])
     def test_flag_the_check_does_not_take_is_usage_error(self, argv):
         code, out, err = invoke(["verify-analytic", *argv])
