@@ -148,13 +148,13 @@ def _sigma3_np(limit: int) -> tuple[float, ...]:
     return tuple(map(float, sigma3_table(limit)))
 
 
-def _terms_needed(absq: float, log_coeff_bound) -> tuple[int, int]:
+def _terms_needed(absq: float, log_coeff_bound, y: float) -> tuple[int, int]:
     """(N, size): size, the tables' cache key, is the least of 256, 512, ...
     with coeff_bound(size) absq^size < 1e-18, and N the least n that meets
-    it, by bisection; or raise.  log_coeff_bound must bound log |c_n|, with
-    coeff_bound(n+1)/coeff_bound(n) never growing, so every n >= N meets it."""
+    it, by bisection; or raise, naming y = im(tau).  log_coeff_bound bounds log
+    |c_n|, with coeff_bound(n+1)/coeff_bound(n) never growing: all n >= N meet it."""
     if absq >= 1.0:
-        raise ValueError("im(tau) too small: |q| >= 1")
+        raise ValueError(f"im(tau) = {y:g} too small: |q| >= 1")
     logq = math.log(absq) if absq > 0 else -math.inf
     fits = lambda n: log_coeff_bound(n) + n * logq < math.log(1e-18)
     size = 256
@@ -162,7 +162,7 @@ def _terms_needed(absq: float, log_coeff_bound) -> tuple[int, int]:
         if fits(size):
             return 1 + bisect_left(range(1, size), True, key=fits), size
         size *= 2
-    raise ValueError("im(tau) too small for double-precision series evaluation")
+    raise ValueError(f"im(tau) = {y:g} too small for double-precision series evaluation")
 
 
 def _truncated_sum(tau: complex, table, log_coeff_bound) -> tuple[complex, float]:
@@ -176,7 +176,7 @@ def _truncated_sum(tau: complex, table, log_coeff_bound) -> tuple[complex, float
     |c_k q^k|, from rounding the tables' c_k (c_0 is exact)."""
     q = _q_from_tau(tau)
     absq = abs(q)
-    n, size = _terms_needed(absq, log_coeff_bound)
+    n, size = _terms_needed(absq, log_coeff_bound, tau.imag)
     value, mu = _horner(table(size)[:n + 1], q)
     head = log_coeff_bound(n + 1)
     tail = math.exp(head) * absq ** (n + 1) / (1.0 - math.exp(log_coeff_bound(n + 2) - head) * absq)
@@ -212,7 +212,7 @@ def theta_eval(tau: complex) -> complex:
     q = _q_from_tau(tau)
     absq = abs(q)
     if absq >= 1.0:
-        raise ValueError("im(tau) too small: |q| >= 1")
+        raise ValueError(f"im(tau) = {tau.imag:g} too small: |q| >= 1")
     cutoff = 1e-16 * (1.0 - absq)
     acc = 1.0 + 0j
     qp = 1.0 + 0j  # q^(n^2), advanced by the odd power q^(2n-1)
@@ -225,7 +225,7 @@ def theta_eval(tau: complex) -> complex:
         if 2.0 * abs(qp) <= cutoff:
             break
     else:
-        raise ValueError("im(tau) too small for double-precision series evaluation")
+        raise ValueError(f"im(tau) = {tau.imag:g} too small for double-precision series evaluation")
     return acc
 
 

@@ -17,6 +17,7 @@ import functools
 import json
 import re
 import sys
+from operator import mul
 from pathlib import Path
 
 from .report import CheckReport, MembershipError
@@ -173,13 +174,13 @@ def _cmd_r4(args):
     from .numtheory import jacobi_count, r4_bruteforce
     n = args.n
     brute = r4_bruteforce(n)
-    coeff = int(forms.theta4(n)[n])
+    t2 = (forms.theta(n) ** 2).coeffs  # theta^4's coefficient n is one dot product over theta^2
+    coeff = sum(map(mul, t2, reversed(t2)))
     jacobi = jacobi_count(n) if n >= 1 else None
     agree = brute == coeff and jacobi in (None, brute)
     payload = {"command": "r4", "n": n, "bruteforce": brute, "jacobi_formula": jacobi,
                "theta4_coefficient": coeff, "pass": agree}
-    jtext = "-" if jacobi is None else str(jacobi)
-    line = f"r4({n}): bruteforce={brute} jacobi={jtext} theta4={coeff} "
+    line = f"r4({n}): bruteforce={brute} jacobi={'-' if jacobi is None else jacobi} theta4={coeff} "
     return payload, [line + ("AGREE" if agree else "DISAGREE")], agree
 
 

@@ -242,10 +242,11 @@ def verify_psi_triple(order: int) -> CheckReport:
     ):
         if failure := _mismatch(other, ref, order, f"{name} coefficient"):
             return _exact_report("psi-triple", order, failure)
-    for n in range(order + 1):
-        if by_rec[n] <= 0:
+    a_num, den = a.stored  # a_n = a_num[n] / den; b_n is an int (psi_by_recursion checks)
+    for n, (an, bn) in enumerate(zip(a_num, by_rec.coeffs)):
+        if bn <= 0:
             return _exact_report("psi-triple", order, f"b_{n} = {by_rec[n]} is not positive")
-        if not (0 < a[n] <= by_rec[n]):
+        if not 0 < an <= bn * den:
             return _exact_report("psi-triple", order,
                                  f"a_{n} = {a[n]} outside (0, b_{n} = {by_rec[n]}]")
     return _exact_report("psi-triple", order)

@@ -4,7 +4,7 @@ numbers, partition numbers, and brute-force four-square representation counts.
 Everything here is ground truth for the series modules: plain enumeration
 and trial division over arbitrary-precision integers, sharing no code with
 the series they check.  r4_bruteforce counts lattice points in two halves:
-the pairs (c, d) first, then the pairs (a, b) that they complete.  Every
+the quadrant's pairs (c, d) first, then the pairs (a, b) they complete.  Every
 value is a pure function of the arguments; the sigma, sigma3 and partition
 tables are kept per process as immutable tuples up to _KEPT_LIMIT, so callers
 may fan out over n with no coordination.
@@ -13,13 +13,14 @@ may fan out over n with no coordination.
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 from typing import Sequence
 
-# r4_bruteforce takes about 4n steps and one table of n + 1 ints (0.05-0.1 s
-# and 1.6 MB at n = 2 * 10^5); the `foursquares r4` subcommand around it
-# also forms theta^4 to order n, which costs about n^1.6 (Karatsuba on the
-# packed ints) and sets its cost.  Measured for the whole subcommand on a
-# 2-core VM: 0.8-0.9 s at n = 10^5 and 1.6-2.8 s (32 MB peak RSS) at 2 * 10^5.
+# r4_bruteforce takes about (pi/4) n untested steps and one table of n + 1
+# ints (0.03 s and 1.5 MB at n = 2 * 10^5).  The `foursquares r4` subcommand
+# around it forms theta^2 by the kernel (about n^1.6: Karatsuba on the packed
+# ints), which sets its cost, and then one dot product.  Measured for the whole
+# subcommand on a 2-core VM: 0.17-0.27 s at 10^5, 0.35-0.5 s (21 MB) at 2 * 10^5.
 R4_MAX_N = 200_000
 
 # Tables up to the largest analytic asks for under its _MAX_TERMS (sizes
@@ -117,23 +118,21 @@ def partitions_table(limit: int) -> list[int]:
 def r4_bruteforce(n: int) -> int:
     """Number of ordered quadruples (a,b,c,d) in Z^4 with a^2+b^2+c^2+d^2 = n.
 
-    Enumeration in two halves: every pair (c, d) with |c|, |d| <= sqrt(n)
-    is counted into r2[c^2 + d^2], and then every pair (a, b) is completed
-    by the r2[n - a^2 - b^2] pairs (c, d), which sums to
-    sum_m r2[m] r2[n - m].  Plain ints throughout; memory is O(n).
+    Enumeration in two halves: each pair c, d >= 0 with c^2 + d^2 <= n counts
+    into r2[c^2 + d^2] once per sign choice (2 per nonzero coordinate), d up
+    to isqrt(n - c^2) and no step tested; then each pair (a, b) is completed by
+    the r2[n - a^2 - b^2] pairs (c, d): sum_m r2[m] r2[n - m].  Memory is O(n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > R4_MAX_N:
         raise ValueError(f"n must be <= {R4_MAX_N}")
-    root = isqrt(n)
-    squares = [c * c for c in range(-root, root + 1)]
+    squares = [c * c for c in range(isqrt(n) + 1)]
     r2 = [0] * (n + 1)
     for cc in squares:
-        for dd in squares:
-            if cc + dd <= n:
-                r2[cc + dd] += 1
-    return sum(r2[m] * r2[n - m] for m in range(n + 1))
+        for dd in squares[: isqrt(n - cc) + 1]:
+            r2[cc + dd] += (2 if cc else 1) * (2 if dd else 1)
+    return sum(map(mul, r2, reversed(r2)))
 
 
 def jacobi_count(n: int) -> int:

@@ -74,6 +74,10 @@ class QSeries:
             return self._num
         return tuple(Fraction(c, self._den) for c in self._num)
 
+    @property
+    def stored(self) -> tuple[tuple[int, ...], int]:  # (_num, _den), read-only
+        return self._num, self._den
+
     def floats(self) -> tuple[float, ...]:
         """The coefficients as floats, each equal to float() of its Fraction:
         int true division is correctly rounded, so no Fraction is built."""

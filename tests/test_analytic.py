@@ -195,6 +195,18 @@ def test_non_finite_tau_rejected(evaluate, tau):
         evaluate(tau)
 
 
+@pytest.mark.parametrize("evaluate", [theta_eval, L_eval, M_eval])
+@pytest.mark.parametrize("tau, cause", [
+    (0.3 + 1e-10j, "im(tau) = 1e-10 too small for double-precision series evaluation"),
+    (0.3 + 1e-60j, "im(tau) = 1e-60 too small: |q| >= 1"),
+], ids=["1e-10", "1e-60"])
+def test_series_refusals_name_the_height(evaluate, tau, cause):
+    # at 1e-10 the terms fall too slowly for the term cap; at 1e-60 |q|
+    # rounds to 1, for theta's own loop and for the dense sums alike
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        evaluate(tau)
+
+
 @pytest.mark.parametrize("evaluate", [theta_eval, L_eval, M_eval, G4_series])
 @pytest.mark.parametrize("tau", [0.25 + 1.1j, -0.375 + 0.3j])
 def test_evaluators_are_exactly_periodic(evaluate, tau):
@@ -269,7 +281,7 @@ class TestHorner:
         fits = lambda n, logq: bound(n) + n * logq < math.log(1e-18)
         for im in (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0):
             logq = -2 * math.pi * im
-            n, size = analytic._terms_needed(math.exp(logq), bound)
+            n, size = analytic._terms_needed(math.exp(logq), bound, im)
             assert fits(n, logq) and n <= size
             assert n == 1 or not fits(n - 1, logq)
             assert size == next(s for s in (256 << k for k in range(7)) if fits(s, logq))
@@ -284,7 +296,7 @@ class TestHorner:
         for _ in range(20):
             tau = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.05), math.log(3.0))))
             q = analytic._q_from_tau(tau)
-            _, size = analytic._terms_needed(abs(q), bound)
+            _, size = analytic._terms_needed(abs(q), bound, tau.imag)
             full, mu = analytic._horner(table(size), q)
             got, stated = analytic._truncated_sum(tau, table, bound)
             assert abs(got - full) <= stated + 1.01 * U * mu
@@ -365,7 +377,7 @@ class TestRowSums:
         err, bound = analytic._row_sum_error(tau, power, coeff)
         left, left_bound = analytic._row_sum_left(tau, power)
         q = analytic._q_from_tau(tau)
-        terms, _ = analytic._terms_needed(abs(q), lambda m: (power - 1) * math.log(m))
+        terms, _ = analytic._terms_needed(abs(q), lambda m: (power - 1) * math.log(m), tau.imag)
         total, mu = analytic._horner([float(m ** (power - 1)) for m in range(terms + 1)], q)
         with mpmath.workdps(40):
             row = row_reference(mpmath, tau, power)
@@ -481,7 +493,7 @@ class TestRowSumRight:
         for _ in range(24):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3.0))
             q = q_of(tau)
-            n, _ = analytic._terms_needed(abs(q), bound)
+            n, _ = analytic._terms_needed(abs(q), bound, tau.imag)
             scale = sum(m**weight * abs(q) ** m for m in range(1, n + 1))
             # sum_(m>n) m^w |q|^m <= (n+1)^w |q|^(n+1) / (1 - r), r the first ratio
             r = ((n + 2) / (n + 1)) ** weight * abs(q)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foursquares
-from foursquares import cli, modgroup
+from foursquares import cli, forms, modgroup
 from foursquares.cli import ANALYTIC_CHECKS, MAX_ORDER, run
 from foursquares.numtheory import R4_MAX_N
 
@@ -220,6 +220,16 @@ class TestVerifyAnalytic:
         assert code == 2 and out == ""
         assert f"im(tau) = {argv[-1][4:]} too small" in err
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["g4", "--tau", "0.3,1e-10"], "im(tau) = 1e-10 too small for double-precision series evaluation"),
+        (["g4", "--tau", "0.3,1e-60"], "im(tau) = 1e-60 too small: |q| >= 1"),
+    ], ids=["1e-10", "1e-60"])
+    def test_series_refusal_names_the_height(self, argv, cause):
+        # the lattice radius and its bound stay in double range at both
+        # heights; M's sum then runs out of terms (1e-10) or finds |q|
+        # rounded to 1 (1e-60) before any row is summed
+        assert invoke(["verify-analytic", *argv]) == (2, "", f"error: {cause}\n")
+
     def test_series_order_flag_is_unrecognized(self):
         # term counts come from tail bounds, and the row sums take every d
         # through their Euler-Maclaurin tails; there is no flag to raise either
@@ -291,6 +301,28 @@ class TestR4:
         doc = json.loads(out)
         assert doc["jacobi_formula"] is None
         assert doc["bruteforce"] == 1
+
+    @pytest.mark.parametrize("n, count", [
+        (0, 1), (1, 8), (10, 144), (100_000, 93_744), (200_000, 93_744),
+    ])
+    def test_text_and_json_are_pinned(self, n, count):
+        # at even n, r4(n) = 24 sigma(odd part of n): 24 sigma(5^5) at 10^5 and 2 * 10^5
+        jacobi = None if n == 0 else count
+        line = f"r4({n}): bruteforce={count} jacobi={jacobi or '-'} theta4={count} AGREE\n"
+        assert invoke(["r4", str(n)]) == (0, line, "")
+        doc = {"command": "r4", "n": n, "bruteforce": count, "jacobi_formula": jacobi,
+               "theta4_coefficient": count, "pass": True}
+        assert invoke(["r4", str(n), "--format", "json"]) == (0, json.dumps(doc) + "\n", "")
+
+    def test_theta4_coefficient_matches_the_full_fourth_power(self):
+        # r4 reads coefficient n of theta^4 as one dot product over theta^2;
+        # the whole of theta^4 is the oracle, at every n <= 2000 and at 10^5
+        t4 = forms.theta4(2000)
+        for n in range(2001):
+            assert json.loads(invoke(["r4", str(n), "--format", "json"])[1])[
+                "theta4_coefficient"] == t4[n]
+        doc = json.loads(invoke(["r4", "100000", "--format", "json"])[1])
+        assert doc["theta4_coefficient"] == forms.theta4(100_000)[100_000]
 
     def test_negative_is_usage_error(self):
         code, _, _ = invoke(["r4", "--", "-5"])

@@ -282,6 +282,19 @@ class TestFailureWitnesses:
         b5 = psi_by_recursion(20)[5]
         assert self._failure(verify_psi_triple, 20) == f"a_5 = {a5} outside (0, b_5 = {b5}]"
 
+    @pytest.mark.parametrize("shift", ["to b", "past b", "to 0"])
+    def test_psi_triple_bound_is_exact_at_its_ends(self, monkeypatch, shift):
+        # the bound is tested on a's numerators over its common denominator:
+        # a_5 = b_5 passes, a hair past b_5 or a_5 = 0 fails
+        a5, b5 = phi_by_recursion(20)[5], psi_by_recursion(20)[5]
+        new = {"to b": b5, "past b": b5 + Fraction(1, 7**30), "to 0": 0}[shift]
+        for name in ("phi_by_recursion", "phi_by_reduction_of_order"):
+            self._bump(monkeypatch, name, new - a5, 5)
+        if shift == "to b":
+            assert verify_psi_triple(20).passed
+        else:
+            assert self._failure(verify_psi_triple, 20) == f"a_5 = {new} outside (0, b_5 = {b5}]"
+
     def test_psi_triple_psi_mismatch(self, monkeypatch):
         b = psi_by_recursion(20)
         self._bump(monkeypatch, "psi_by_exp", 1, 4)
