@@ -73,11 +73,11 @@ CUSP_CONTROL_THRESHOLD = 1e-3
 # linear in R: 0.17 s at R = 10^4 and 0.001+0.001i (2-core VM, Python 3.11.7).
 MAX_LATTICE_RADIUS = 10_000
 
-# Half-widths of the windows of d that rows sum term by term, before the
-# Euler-Maclaurin tails (see _row_sum_left).  A lattice row of im Y rounds
-# by at least 16 u (1/4 + Y^2)^-2; at window 16 its remainder stays under 1%
-# of that at every Y (0.84% at worst, near Y = 7.3).
-_ROW_WINDOW, _LATTICE_WINDOW = 48, 16
+# Half-width of the window of d that every row sums term by term before the
+# Euler-Maclaurin tails (see _row_sum_left), in the row-sum checks and in
+# G4_lattice alike.  At 16 a row's remainder stays under 7.6e-6 of its own
+# rounding bound at weight 2 and 3.9e-4 at weight 4 (worst near im 7.3).
+_ROW_WINDOW = 16
 
 # Per even power k, _row_sum_left's tail coefficients beta_r =
 # B_2r (k)_(2r-1) / (2r)!, r = 1..8, (k)_r the rising factorial, and its
@@ -325,9 +325,10 @@ def _lattice_radius(y: float, ceiling: int) -> tuple[int, float]:
                          f"|c| = {radius} leaves the range of double precision") from None
 
 
-def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
-    """The weight-4 lattice sum over the rows |c| <= R, and a bound on its
-    distance from the sum over all (c, d) != (0, 0).
+def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float, int, float]:
+    """The weight-4 lattice sum over the rows |c| <= R, a bound on its
+    distance from the sum over all (c, d) != (0, 0), R and the omitted rows'
+    bound.
 
     Rows c and -c agree and row 0 is 2 zeta(4), so the sum is pi^4/45 + 2
     sum_(c=1..R) row(c tau), each by :func:`_row_sum_left` at c tau - round(c
@@ -340,11 +341,12 @@ def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex,
     radius, omitted = _lattice_radius(y, cfg.lattice_radius)
     num, den = tau.real.as_integer_ratio()
     shift = lambda c: ((2 * c * num + den) % (2 * den) - den) / (2 * den)  # c re tau, mod 1
-    rows, bounds = zip(*(_row_sum_left(complex(shift(c), c * y), 4, _LATTICE_WINDOW)
+    rows, bounds = zip(*(_row_sum_left(complex(shift(c), c * y), 4)
                          for c in range(1, radius + 1)))
     zeta4 = _PI**4 / 90.0
     total = 2.0 * complex(math.fsum([zeta4, *map(_REAL, rows)]), math.fsum(map(_IMAG, rows)))
-    return total, omitted + 2.0 * (sum(bounds) + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
+    bound = omitted + 2.0 * (sum(bounds) + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
+    return total, bound, radius, omitted
 
 
 def G4_series(tau: complex) -> complex:
@@ -397,26 +399,27 @@ def check_theta_transform(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Che
     return _law_report("theta-transformation", abs(lhs - rhs) / abs(rhs), cfg, tau=tau)
 
 
-def _row_sum_left(tau: complex, power: int, window: int = _ROW_WINDOW) -> tuple[complex, float]:
+def _row_sum_left(tau: complex, power: int) -> tuple[complex, float]:
     """The row sum over all d of (tau+d)^-k, k = power even, and a bound
     on its error.  It is 1-periodic, so it is taken at t = tau - round(re
     tau) (exact, by Sterbenz's lemma); math.fsum adds the terms with
-    |d| <= window and both tails sum_(j>=0) (z + j)^-k, z = a +- t,
-    a = window + 1.  By DLMF 2.10.1 with 8 Bernoulli terms and
+    |d| <= _ROW_WINDOW and both tails sum_(j>=0) (z + j)^-k, z = a +- t,
+    a = _ROW_WINDOW + 1.  By DLMF 2.10.1 with 8 Bernoulli terms and
     f^(r)(x) = (-1)^r (k)_r (z + x)^(-k-r), a tail is w^(k-1) (1/(k-1) +
     w/2 + sum_r beta_r w^2r), w = 1/z, off by at most |B_16|/16! int |f^(16)|
     (|B~_16(x)| <= |B_16|, DLMF §24.9).  As |z + x| >= x + a - 1/2 and
     >= (x + a - 1/2 + im t)/sqrt(2), that is _TAILS' constant times
     min((a - 1/2)^(1-p), 2^(p/2) (a - 1/2 + im t)^(1-p)) for both tails,
-    p = k + 16: about 1e-29 at k = 4, a = 49.  Rounding, to first order in
-    u, with A and B the moduli of the window's and the tails' terms, is
-    u ((4k + 8) A + 260 B): t + d is off by 2u relative at most, the power
-    by log2 k complex products (2 sqrt(2) u each) and CPython's reciprocal
-    (5u), under (4k + 6) u a term; a tail by under 256 u B (w by 7u; powers
-    and Horner steps add less); fsum rounds each part once, sqrt(2) u (A+B).
+    p = k + 16: about 3e-20 at k = 2 and 5e-21 at k = 4, a = 17.  Rounding,
+    to first order in u, with A and B the moduli of the window's and the
+    tails' terms, is u ((4k + 8) A + 260 B): t + d is off by 2u relative at
+    most, the power by log2 k complex products (2 sqrt(2) u each) and
+    CPython's reciprocal (5u), under (4k + 6) u a term; a tail by under
+    256 u B (w by 7u; powers and Horner steps add less); fsum rounds each
+    part once, sqrt(2) u (A+B).
     """
     betas, remainder = _TAILS[power]
-    t = tau - round(tau.real)
+    t, window = tau - round(tau.real), _ROW_WINDOW
     terms = [(t + d) ** -power for d in range(-window, window + 1)]
     a, moduli = window + 1, (4 * power + 8) * sum(map(abs, terms))
     if not math.isfinite(moduli):  # (t + d)^k overflows from im t ~ 1e77 (k = 4)
@@ -452,7 +455,7 @@ def _row_sum_error(tau: complex, power: int, coeff: float) -> tuple[float, float
 def check_row_sum2(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckReport:
     """sum over every d of (tau+d)^-2 against -4 pi^2 sum m q^m, absolute
     difference; the tolerance is the traced bound of :func:`_row_sum_error`
-    (both sides' rounding, a remainder near 3e-28 and the right side's tail).
+    (both sides' rounding, a remainder near 3e-20 and the right side's tail).
     """
     tau = _require_uhp(tau)
     err, bound = _row_sum_error(tau, 2, -4.0 * _PI**2)
@@ -477,10 +480,9 @@ def check_G4_expansion(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckR
     gives M, relative to the series: 5.3e-15 at the default tau, where R is
     12.  The witness names R and the omitted rows' bound."""
     tau = _require_uhp(tau)
-    radius, omitted = _lattice_radius(tau.imag, cfg.lattice_radius)
     m, m_bound = _M_sum(tau)
     series = (_PI**4 / 45.0) * m
-    lattice, bound = G4_lattice(tau, cfg)
+    lattice, bound, radius, omitted = G4_lattice(tau, cfg)
     tol = (bound + (_PI**4 / 45.0) * m_bound) / abs(series)
     return _law_report("g4-lattice-vs-series", abs(lattice - series) / abs(series), cfg, default_tol=tol,
                        tau=tau, witness=f"rows |c|<={radius}, omitted<={omitted:.1e}")

@@ -269,15 +269,15 @@ def decompose(m: Mat2Z) -> GenWord:
 
 # ------------------------------------------------------- fundamental domain
 
-def in_fundamental_domain(tau: complex, eps: float = DOMAIN_EPS) -> bool:
-    """Membership in D, with boundary points admitted within eps."""
+def in_fundamental_domain(tau: complex) -> bool:
+    """Membership in D, with boundary points admitted within DOMAIN_EPS."""
     if tau.imag <= 0:
         return False
-    if tau.real < -eps or tau.real > 1 + eps:
+    if tau.real < -DOMAIN_EPS or tau.real > 1 + DOMAIN_EPS:
         return False
-    if abs(tau - 0.25) < 0.25 - eps:
+    if abs(tau - 0.25) < 0.25 - DOMAIN_EPS:
         return False
-    if abs(tau - 0.75) < 0.25 - eps:
+    if abs(tau - 0.75) < 0.25 - DOMAIN_EPS:
         return False
     return True
 

@@ -114,22 +114,18 @@ class QSeries:
 
     # ---------------------------------------------------------------- ring ops
 
-    def __add__(self, other: "QSeries | Scalar") -> "QSeries":
-        other = _coerce(other, self.order)
+    def __add__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         den = math.lcm(self._den, other._den)
         fa, fb = den // self._den, den // other._den
         return QSeries._of([x * fa + y * fb for x, y in zip(self._num, other._num)], den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QSeries":
         return QSeries._of([-c for c in self._num], self._den)
 
-    def __sub__(self, other: "QSeries | Scalar") -> "QSeries":
-        return self + (-_coerce(other, self.order))
-
-    def __rsub__(self, other: Scalar) -> "QSeries":
-        return _coerce(other, self.order) - self
+    def __sub__(self, other: "QSeries") -> "QSeries":
+        return self + -other if isinstance(other, QSeries) else NotImplemented
 
     def __mul__(self, other: "QSeries | Scalar") -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -168,14 +164,6 @@ class QSeries:
 # first (C orders the sizes of b, h, i, l, q).  'i' and 'l' vary in size by
 # platform, so sizes, not letters, pick the slot codec.
 _SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
-
-
-def _coerce(x: "QSeries | Scalar", order: int) -> QSeries:
-    if isinstance(x, QSeries):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QSeries([x], order=order)
-    raise TypeError(f"cannot combine QSeries with {type(x).__name__}")
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:

@@ -402,11 +402,14 @@ class TestRowSums:
         assert report.tol < a_priori / 100
 
     @pytest.mark.parametrize("im", [0.002, 0.01, 0.1, 1.0])
-    def test_weight2_window_changes_nothing_beyond_rounding(self, im):
+    def test_weight2_window_changes_nothing_beyond_rounding(self, im, monkeypatch):
         # the Euler-Maclaurin tails carry more or less of the row as the
         # window moves, and the sums agree within their two bounds
         tau = 0.3 + 1j * im
-        results = [analytic._row_sum_left(tau, 2, window) for window in (16, 48, 200)]
+        results = []
+        for window in (16, 48, 200):
+            monkeypatch.setattr(analytic, "_ROW_WINDOW", window)
+            results.append(analytic._row_sum_left(tau, 2))
         for (a, bound_a), (b, bound_b) in zip(results, results[1:]):
             assert abs(a - b) <= bound_a + bound_b
 
@@ -510,7 +513,7 @@ class TestG4:
         assert report.error < 1e-5
 
     def test_real_at_purely_imaginary_tau(self):
-        value, _ = G4_lattice(2j, EvalConfig(lattice_radius=400))
+        value, *_ = G4_lattice(2j, EvalConfig(lattice_radius=400))
         assert abs(value.imag) < 1e-10 * abs(value)
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, 1j, 0.1 + 0.5j, -0.45 + 0.06j, 0.2 + 3j])
@@ -520,7 +523,7 @@ class TestG4:
         # misses the full sum by at most its stated bound; the shells, by
         # their tail and their rounding (8u a term, log2(8R) u in numpy's
         # pairwise sum of a shell, R u for adding up R shells)
-        got, bound = G4_lattice(tau, EvalConfig(lattice_radius=R))
+        got, bound, *_ = G4_lattice(tau, EvalConfig(lattice_radius=R))
         want = full_shell_lattice(tau, R)
         shells_rounding = (24 + R) * U * lattice_moduli(tau)
         assert abs(got - want) <= bound + shell_tail_bound(tau, R) + shells_rounding
@@ -529,10 +532,10 @@ class TestG4:
         # at Im 1.1 the rows past the chosen R = 12 are below 1e-17, so the
         # first 3,000 rows summed here give the same sum within rounding
         tau = 0.3 + 1.1j
-        rows = [analytic._row_sum_left(c * tau, 4, 16)[0] for c in range(1, 3001)]
+        rows = [analytic._row_sum_left(c * tau, 4)[0] for c in range(1, 3001)]
         large = 2 * (math.fsum([math.pi**4 / 90, *(r.real for r in rows)])
                      + 1j * math.fsum(r.imag for r in rows))
-        small, _ = G4_lattice(tau, EvalConfig(lattice_radius=3000))
+        small, *_ = G4_lattice(tau, EvalConfig(lattice_radius=3000))
         assert abs(small - large) < 1e-15 * abs(large)
 
     @pytest.mark.parametrize("y, radius", [(1.1, 12), (0.5, 26), (0.1, 141), (0.01, 1595)])
@@ -541,6 +544,14 @@ class TestG4:
         assert (got, omitted <= analytic._LATTICE_TARGET) == (radius, True)
         # one row fewer, forced by the ceiling, misses the target
         assert analytic._lattice_radius(y, radius - 1)[1] > analytic._LATTICE_TARGET
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.1j, 0.3 + 1e-3j])
+    def test_sum_reports_the_radius_and_bound_it_used(self, tau):
+        # the check's witness reads R and the omitted rows' bound from the
+        # sum itself, which took them from the tail bound under the ceiling
+        *_, radius, omitted = G4_lattice(tau)
+        assert (radius, omitted) == analytic._lattice_radius(tau.imag, 3000)
+        assert check_G4_expansion(tau).witness == f"rows |c|<={radius}, omitted<={omitted:.1e}"
 
     @pytest.mark.parametrize("y", [1e-3, 1e-5])
     def test_bound_never_above_the_moduli_bound_where_the_ceiling_binds(self, y):
@@ -565,8 +576,8 @@ class TestG4:
         assert check_G4_expansion(0.3 + 1.1j).passed
         row_sum = analytic._row_sum_left
 
-        def scaled(t, power, window=analytic._ROW_WINDOW):
-            value, bound = row_sum(t, power, window)
+        def scaled(t, power):
+            value, bound = row_sum(t, power)
             return value * (1 + 1e-12) if t.imag == 1.1 else value, bound
 
         monkeypatch.setattr(analytic, "_row_sum_left", scaled)
@@ -668,7 +679,7 @@ class TestReferenceTier:
         # the omitted rows, traced without the row identity, are bounded
         # under 1e-17, so rounding sets the bound; the sum lands at that level
         mpmath = pytest.importorskip("mpmath")
-        got, bound = G4_lattice(tau)
+        got, bound, *_ = G4_lattice(tau)
         with mpmath.workdps(40):
             want = lattice_reference(mpmath, tau)
             error = float(abs(mpmath.mpc(got) - want))
@@ -720,8 +731,11 @@ class TestXiInvariance:
             check_Xi_invariance(0.1 + 0.5j, MAT_S)
 
     def test_floor_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^im\(A tau\) must stay >= 0.05"):
             check_Xi_invariance(0.2 + 1.3j, MAT_U)
+        # tau itself below 0.05 is refused before its image is formed
+        with pytest.raises(ValueError, match=r"^im\(tau\) must stay >= 0.05"):
+            check_Xi_invariance(0.1 + 0.049j, MAT_T)
 
 
 class TestGandH:

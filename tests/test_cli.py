@@ -214,8 +214,9 @@ class TestVerifyAnalytic:
         ["g4", "--tau", "0.3,1e-300"],
     ])
     def test_cutoff_above_ceiling_is_usage_error(self, argv):
-        # the radius the omitted rows need passes the ceiling of 3,000, and
-        # the bound on the rows past it leaves double range
+        # G4_lattice would refuse here, as the bound on the rows past the
+        # ceiling of 3,000 leaves double range, but M's sum, taken first,
+        # already finds |q| rounded to 1
         code, out, err = invoke(["verify-analytic", *argv])
         assert code == 2 and out == ""
         assert f"im(tau) = {argv[-1][4:]} too small" in err

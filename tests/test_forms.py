@@ -134,7 +134,8 @@ class TestPsiPhi:
             assert builder(0) == QSeries([1])
 
     def test_negative_order_rejected(self):
-        for builder in (psi_by_partition_square, phi_by_reduction_of_order):
+        for builder in (psi_by_partition_square, phi_by_reduction_of_order,
+                        theta, series_L, series_M, psi_by_exp):
             with pytest.raises(ValueError, match="order must be >= 0"):
                 builder(-1)
 
@@ -179,6 +180,14 @@ class TestPsiPhi:
 
 
 class TestVerifiers:
+    @pytest.mark.parametrize("verifier", [
+        verify_ramanujan_ode, verify_jacobi, verify_lagrange, verify_full_jacobi,
+        verify_sigma_lambert, verify_psi_triple, verify_final_proportionality,
+    ], ids=lambda f: f.__name__)
+    def test_order_zero_refused(self, verifier):
+        with pytest.raises(ValueError, match="^order must be >= 1$"):
+            verifier(0)
+
     def test_ode_small_order(self):
         report = verify_ramanujan_ode(1)
         assert report.passed

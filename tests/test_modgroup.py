@@ -435,3 +435,7 @@ class TestDomainMembership:
     def test_strip_bounds(self):
         assert not in_fundamental_domain(-0.2 + 1j)
         assert not in_fundamental_domain(1.2 + 1j)
+
+    @pytest.mark.parametrize("tau", [0.5 + 0j, 0.5 - 1e-300j, 0.5 - 1j, 0.0 + 0j])
+    def test_real_axis_and_below_excluded(self, tau):
+        assert not in_fundamental_domain(tau)

@@ -71,6 +71,14 @@ class TestAdd:
         b = QSeries([1, 1])
         assert (a + b).order == 1
 
+    @pytest.mark.parametrize("combine", [lambda s: s + 1, lambda s: 1 + s, lambda s: s - 1,
+                                         lambda s: 1 - s, lambda s: s + Fraction(1, 2)],
+                             ids=["s + 1", "1 + s", "s - 1", "1 - s", "s + 1/2"])
+    def test_scalars_are_not_added(self, combine):
+        # addition and subtraction take only series; scalar * stays
+        with pytest.raises(TypeError):
+            combine(series(1, 2))
+
 
 class TestMul:
     def test_difference_of_squares(self):
@@ -530,6 +538,18 @@ class TestText:
     def test_golden_sequence_enforced(self):
         with pytest.raises(ValueError):
             parse_golden("0: 1\n2: 3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0: 1\n1 2\n", "golden line 2 lacks ':'"),
+        ("", "empty golden text"),
+        ("\n  \n", "empty golden text"),
+    ])
+    def test_golden_refusals(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_golden(text)
+
+    def test_golden_blank_lines_skipped(self):
+        assert parse_golden("\n0: 1\n\n   \n1: 10/7\n\n") == QSeries([1, Fraction(10, 7)])
 
 
 class TestExactness:
