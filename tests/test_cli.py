@@ -1,5 +1,6 @@
 """Command-line contract: output shapes, exit codes, text/json agreement."""
 
+import importlib.util
 import io
 import json
 import os
@@ -610,3 +611,16 @@ def test_subcommands_load_only_the_modules_they_run(argvs, absent):
     # together the cases run every row of the command table
     assert {argv[0] for case, _ in _LOAD_CASES for argv in case} == set(cli._COMMANDS)
     assert _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=absent)) == "[]"
+
+
+def test_replay_tool_gives_the_same_bytes_in_both_orders(capsys):
+    # tools/replay_argvs.py runs each recorded argv through cli.run forward,
+    # then reversed, and exits 1 if any argv's bytes differ between passes.
+    path = Path(__file__).resolve().parent.parent / "tools" / "replay_argvs.py"
+    spec = importlib.util.spec_from_file_location("replay_argvs", path)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    assert replay.main([]) == 0
+    out = capsys.readouterr().out
+    assert "reversed pass differs" not in out
+    assert out.splitlines()[-1].endswith("(262 argvs, 2 passes)")

@@ -72,6 +72,12 @@ class TestMat2Z:
         with pytest.raises(TypeError):
             Mat2Z(1, 0.5, 0, 1)
 
+    @pytest.mark.parametrize("entries", [(True, 0, 0, True), (1, False, 0, 1), (1, 0, 0, 1.0)])
+    def test_non_int_entries_rejected(self, entries):
+        # bool is an int subclass, but Mat2Z(True, 0, 0, True) would print [[True,0],[0,True]]
+        with pytest.raises(TypeError, match="integers"):
+            Mat2Z(*entries)
+
     def test_s_and_st_relations(self):
         minus_id = Mat2Z(-1, 0, 0, -1)
         assert MAT_S * MAT_S == minus_id
@@ -180,6 +186,30 @@ class TestWords:
         w = GenWord([("T", 2), ("T", -2), ("U", 1), ("U", 2)])
         assert w.letters == (("U", 3),)
 
+    @pytest.mark.parametrize("exp", [1.5, 2.0, True, Fraction(2)])
+    def test_non_int_exponents_rejected(self, exp):
+        # unchecked, ("T", 1.5) would format as "T^1.5" and ("T", True) as "T^True"
+        with pytest.raises(TypeError, match="exponent of T"):
+            GenWord([("U", 1), ("T", exp)])
+
+    def test_evaluate_matches_the_matrix_product(self):
+        # The matrix route that evaluate() replaced, kept as its oracle: the
+        # ordered Mat2Z product of T^k = [[1,k],[0,1]] and U^k = [[1,0],[4k,1]].
+        def product_of_letters(word):
+            result = IDENTITY
+            for gen, k in word.letters:
+                result = result * (Mat2Z(1, k, 0, 1) if gen == "T" else Mat2Z(1, 0, 4 * k, 1))
+            return result
+
+        rng = random.Random(29)
+        parabolic = MAT_T * MAT_U.inv()
+        words = [GenWord(), *(random_gamma1_word(rng, max_len=40, max_exp=9) for _ in range(300))]
+        for k in (1, 2, 7, 40, -3):
+            words.append(GenWord([("T", 1), ("U", -1)] * k if k > 0 else [("U", 1), ("T", -1)] * -k))
+            assert words[-1].evaluate() == parabolic ** k
+        for w in words:
+            assert w.evaluate() == product_of_letters(w), w
+
     def test_word_parse_round_trip(self):
         for text in ("1", "T^3", "U^-1", "T^2 U^-1 T^3"):
             assert parse_word(text).format() == text
@@ -232,6 +262,40 @@ class TestDecompose:
         assert word.evaluate() == m
         with pytest.raises(ValueError, match=f"more than {MAX_WORD_LETTERS} letters"):
             decompose(base ** (MAX_WORD_LETTERS // 2 + 1))
+
+    # decompose's words as recorded before its descent ran on four ints: the
+    # replay's matrices (tools/replay_argvs.py) and seeded level-4 matrices.
+    PINNED_WORDS = [
+        ("[[1,1],[0,1]]", "T^1"),
+        ("[[-7,2],[-4,1]]", "T^2 U^-1"),
+        ("[[2001,-1000],[4000,-1999]]", " ".join(["T^1 U^-1"] * 1000)),
+        ("[[1,0],[4,1]]", "U^1"),
+        ("[[41,-1],[-204,5]]", "U^-1 T^-1 U^-10"),
+        ("[[-63,-1],[64,1]]", "T^-1 U^16"),
+        ("[[193,105],[68,37]]", "T^3 U^-2 " + " ".join(["T^1 U^-1"] * 5) + " T^1"),
+        ("[[-95,16],[-196,33]]", " ".join(["U^1 T^-1"] * 16) + " U^-1"),
+        ("[[21,20],[232,221]]", "U^3 T^-1 U^-5 T^1"),
+        ("[[-63,52],[-40,33]]", "T^2 U^-1 T^1 U^-1 T^1 U^-1 T^1 U^1 T^-1"),
+        ("[[-27,22],[-232,189]]", "U^2 T^2 U^-1 T^1 U^1 T^-1"),
+        ("[[-223,172],[-188,145]]", "T^1 U^1 T^1 U^-1 T^3 U^1 T^-1"),
+    ]
+
+    @staticmethod
+    def seeded_level4(rng, count, size=60):
+        """count matrices [[a,b],[c,d]] with a = 1, c = 0 mod 4, b and d solved for."""
+        found = []
+        while len(found) < count:
+            a, c = 4 * rng.randint(-size, size) + 1, 4 * rng.randint(-size, size)
+            if c and math.gcd(a, c) == 1:
+                d = pow(a, -1, abs(c))  # ad = 1 mod c; so d = 1 mod 4
+                found.append(Mat2Z(a, (a * d - 1) // c, c, d))
+        return found
+
+    def test_words_pinned(self):
+        seeded = [m.format() for m in self.seeded_level4(random.Random(29), 8)]
+        assert seeded == [text for text, _ in self.PINNED_WORDS[4:]]
+        for text, word in self.PINNED_WORDS:
+            assert decompose(parse_matrix(text)).format() == word, text
 
     def test_rejects_non_members(self):
         for m in (MAT_S, Mat2Z(-1, 0, 0, -1), Mat2Z(1, 0, 2, 1)):
@@ -438,4 +502,10 @@ class TestDomainMembership:
 
     @pytest.mark.parametrize("tau", [0.5 + 0j, 0.5 - 1e-300j, 0.5 - 1j, 0.0 + 0j])
     def test_real_axis_and_below_excluded(self, tau):
+        assert not in_fundamental_domain(tau)
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, math.nan), complex(math.nan, 1),
+                                     complex(0.5, math.nan), complex(0.5, math.inf)])
+    def test_non_finite_excluded(self, tau):
+        # every comparison with NaN is False, so no comparison alone refuses it
         assert not in_fundamental_domain(tau)

@@ -49,12 +49,12 @@ def replay(argv: list[str], bad: str) -> tuple[int, str, str]:
     return code, out.getvalue().replace(bad, "{bad}"), err.getvalue().replace(bad, "{bad}")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--argvs", type=Path, default=ROOT / "BENCH_18.json",
                         help="JSON file whose outputs.argvs lists the command lines")
     parser.add_argument("--show", action="store_true", help="print each argv's stdout and stderr")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     argvs = json.loads(args.argvs.read_text())["outputs"]["argvs"]
     print(f"# foursquares from {Path(cli.__file__).parent}", file=sys.stderr)
 
