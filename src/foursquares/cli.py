@@ -2,8 +2,9 @@
 
 `_COMMANDS` has one row per subcommand: its help text, its arguments and its
 handler, and `build_parser` builds the parser from the rows.  A handler
-prints nothing; it returns (JSON payload, text lines, passed).  `run` alone
-prints: one strict JSON document under `--format json`, else the lines.
+prints nothing; it returns (JSON payload, text lines, passed), the lines as
+any iterable, read at most once.  `run` alone prints: one strict JSON
+document under `--format json`, else the lines.
 Exit codes: 0 when all requested checks pass, 1 on a verification failure
 (or a matrix outside the required subgroup), 2 on a usage error.
 """
@@ -128,14 +129,13 @@ def _reports_result(reports: list[CheckReport]) -> tuple[dict, list[str], bool]:
 
 def _cmd_expand(args):
     from .forms import first_mismatch
-    from .qseries import format_golden, parse_golden
+    from .qseries import parse_golden
     series = _forms_call(_SERIES, args.name, args.order)
     payload = {"command": "expand", "name": args.name, "order": args.order}
     if args.golden_dir is None:
-        # each coefficient is formatted once: the JSON list reuses the lines
-        lines = format_golden(series).splitlines()
-        payload["coefficients"] = [line.partition(": ")[2] for line in lines]
-        return payload, lines, True
+        # each coefficient is formatted once; the text lines are built only if printed
+        coeffs = payload["coefficients"] = list(map(str, series.coeffs))
+        return payload, (f"{n}: {c}" for n, c in enumerate(coeffs)), True
     path = args.golden_dir / f"{args.name}.txt"
     golden = parse_golden(path.read_text())
     upto = min(golden.order, series.order)
@@ -174,8 +174,9 @@ def _cmd_r4(args):
     from .numtheory import jacobi_count, r4_bruteforce
     n = args.n
     brute = r4_bruteforce(n)
-    t2 = (forms.theta(n) ** 2).coeffs  # theta^4's coefficient n is one dot product over theta^2
-    coeff = sum(map(mul, t2, reversed(t2)))
+    # theta^4's coefficient n is sum_m t2[m] t2[n - m] over theta^2, each pair {m, n - m} once
+    t2 = (forms.theta(n) ** 2).coeffs
+    coeff = 2 * sum(map(mul, t2[: (n + 1) // 2], reversed(t2))) + (0 if n & 1 else t2[n // 2] ** 2)
     jacobi = jacobi_count(n) if n >= 1 else None
     agree = brute == coeff and jacobi in (None, brute)
     payload = {"command": "r4", "n": n, "bruteforce": brute, "jacobi_formula": jacobi,

@@ -42,11 +42,9 @@ def theta(order: int) -> QSeries:
         raise ValueError("order must be >= 0")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    k = 1
-    while k * k <= order:
+    for k in range(1, math.isqrt(order) + 1):
         coeffs[k * k] = 2
-        k += 1
-    return QSeries(coeffs)
+    return QSeries._of(coeffs)
 
 
 def theta4(order: int) -> QSeries:
@@ -57,22 +55,20 @@ def theta4(order: int) -> QSeries:
 def series_L(order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
-    sig = sigma_table(order)
-    return QSeries([1] + [-24 * sig[n] for n in range(1, order + 1)])
+    return QSeries._of([1] + [-24 * s for s in sigma_table(order)[1:]])
 
 
 def series_M(order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
-    sig3 = sigma3_table(order)
-    return QSeries([1] + [240 * sig3[n] for n in range(1, order + 1)])
+    return QSeries._of([1] + [240 * s for s in sigma3_table(order)[1:]])
 
 
 def partition_series(order: int) -> QSeries:
     """P(q), the generating function of the partition numbers."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return QSeries(partitions_table(order))
+    return QSeries._of(partitions_table(order))
 
 
 def psi_by_recursion(order: int) -> QSeries:
@@ -81,7 +77,7 @@ def psi_by_recursion(order: int) -> QSeries:
     The coefficients are provably integers; a non-integral value would
     falsify that, so it raises rather than warns.
     """
-    b = recurrence(QSeries(sigma_table(order)), lambda n: Fraction(2, n), order)
+    b = recurrence(QSeries._of(sigma_table(order)), lambda n: Fraction(2, n), order)
     for n, bn in enumerate(b.coeffs):
         if bn.denominator != 1:
             raise ArithmeticError(f"b_{n} = {bn} is not an integer")
@@ -94,7 +90,7 @@ def psi_by_sigma3_recursion(order: int) -> QSeries:
     Agreement with :func:`psi_by_recursion` is exactly the formal content of
     the Ramanujan differential identity.
     """
-    return recurrence(QSeries(sigma3_table(order)),
+    return recurrence(QSeries._of(sigma3_table(order)),
                       lambda n: Fraction(10, n * (6 * n - 1)), order)
 
 
@@ -110,12 +106,12 @@ def psi_by_exp(order: int) -> QSeries:
 
 def psi_by_partition_square(order: int) -> QSeries:
     """psi as P(q)^2: the partition series divided once more by prod (1-q^n)."""
-    return QSeries(euler_quotient(partition_series(order).coeffs))
+    return QSeries._of(euler_quotient(partition_series(order).coeffs))
 
 
 def phi_by_recursion(order: int) -> QSeries:
     """phi from a_0 = 1, a_n = 10/(n(6n+1)) sum sigma3(k) a_{n-k}; exact rationals."""
-    return recurrence(QSeries(sigma3_table(order)),
+    return recurrence(QSeries._of(sigma3_table(order)),
                       lambda n: Fraction(10, n * (6 * n + 1)), order)
 
 
@@ -133,7 +129,7 @@ def phi_by_reduction_of_order(order: int) -> QSeries:
     e = _euler_product(order) ** 4
     den = math.lcm(*((6 * n + 1) // math.gcd(c, 6 * n + 1) for n, c in enumerate(e.coeffs)))
     num = [c * den // (6 * n + 1) for n, c in enumerate(e.coeffs)]
-    return QSeries(euler_quotient(euler_quotient(num))) * Fraction(1, den)
+    return QSeries._of(euler_quotient(euler_quotient(num)), den)
 
 
 def _euler_product(order: int) -> QSeries:
@@ -141,7 +137,7 @@ def _euler_product(order: int) -> QSeries:
     coeffs = [1] + [0] * order
     for g, sign in pentagonal(order):
         coeffs[g] = sign
-    return QSeries(coeffs)
+    return QSeries._of(coeffs)
 
 
 # ----------------------------------------------------------------- verifiers
@@ -190,7 +186,7 @@ def verify_jacobi(order: int) -> CheckReport:
     t4 = theta4(order)
     diff = t4 - substitute_neg(t4)
     sig = sigma_table(order)
-    want = QSeries([0] + [16 * sig[n] if n % 2 else 0 for n in range(1, order + 1)])
+    want = QSeries._of([0] + [16 * sig[n] if n % 2 else 0 for n in range(1, order + 1)])
     return _exact_report("jacobi-odd-part", order, _mismatch(diff, want, order))
 
 
@@ -211,8 +207,8 @@ def verify_full_jacobi(order: int) -> CheckReport:
         raise ValueError("order must be >= 1")
     t4 = theta4(order)
     sig = sigma_table(order)
-    want = QSeries([1] + [8 * (sig[n] - (0 if n % 4 else 4 * sig[n // 4]))
-                          for n in range(1, order + 1)])
+    want = QSeries._of([1] + [8 * (sig[n] - (0 if n % 4 else 4 * sig[n // 4]))
+                              for n in range(1, order + 1)])
     return _exact_report("full-jacobi-formula", order, _mismatch(t4, want, order))
 
 
@@ -222,8 +218,9 @@ def verify_sigma_lambert(order: int) -> CheckReport:
     against sigma(n) by trial division."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    want = QSeries([0] + [sigma(n) for n in range(1, order + 1)])
-    return _exact_report("sigma-lambert", order, _mismatch(QSeries(sigma_table(order)), want, order))
+    want = QSeries._of([0] + [sigma(n) for n in range(1, order + 1)])
+    return _exact_report("sigma-lambert", order,
+                         _mismatch(QSeries._of(sigma_table(order)), want, order))
 
 
 def verify_psi_triple(order: int) -> CheckReport:

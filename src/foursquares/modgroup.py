@@ -65,6 +65,8 @@ class Mat2Z(Record):
         return Mat2Z(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, k: int) -> "Mat2Z":
+        if type(k) is not int:  # bool is an int subclass, and not an exponent
+            raise TypeError(f"the exponent of a matrix must be an integer (got {k!r})")
         if k < 0:
             return self.inv() ** (-k)
         result = IDENTITY
@@ -102,9 +104,9 @@ def parse_matrix(text: str) -> Mat2Z:
 
 
 def mobius(m: Mat2Z, tau: complex) -> complex:
-    """The action (a tau + b) / (c tau + d) on the upper half plane."""
-    if tau.imag <= 0:
-        raise ValueError("tau must satisfy im(tau) > 0")
+    """The action (a tau + b) / (c tau + d) on the upper half plane; a non-finite tau raises."""
+    if not cmath.isfinite(tau) or tau.imag <= 0:
+        raise ValueError(f"tau must be finite with im(tau) > 0 (got {tau})")
     return (m.a * tau + m.b) / (m.c * tau + m.d)
 
 

@@ -4,10 +4,11 @@ numbers, partition numbers, and brute-force four-square representation counts.
 Everything here is ground truth for the series modules: plain enumeration
 and trial division over arbitrary-precision integers, sharing no code with
 the series they check.  r4_bruteforce counts lattice points in two halves:
-the quadrant's pairs (c, d) first, then the pairs (a, b) they complete.  Every
-value is a pure function of the arguments; the sigma, sigma3 and partition
-tables are kept per process as immutable tuples up to _KEPT_LIMIT, so callers
-may fan out over n with no coordination.
+the pairs (c, d) first, axis and interior points apart so no step is tested,
+then the pairs (a, b) they complete, each pair of halves once.  Every value is
+a pure function of the arguments; the sigma, sigma3 and partition tables are
+kept per process as immutable tuples up to _KEPT_LIMIT, so callers may fan out
+over n with no coordination.
 """
 
 from __future__ import annotations
@@ -118,21 +119,24 @@ def partitions_table(limit: int) -> list[int]:
 def r4_bruteforce(n: int) -> int:
     """Number of ordered quadruples (a,b,c,d) in Z^4 with a^2+b^2+c^2+d^2 = n.
 
-    Enumeration in two halves: each pair c, d >= 0 with c^2 + d^2 <= n counts
-    into r2[c^2 + d^2] once per sign choice (2 per nonzero coordinate), d up
-    to isqrt(n - c^2) and no step tested; then each pair (a, b) is completed by
-    the r2[n - a^2 - b^2] pairs (c, d): sum_m r2[m] r2[n - m].  Memory is O(n).
+    Enumeration in two halves.  The table r2[m] counts the pairs (c, d) with
+    c^2 + d^2 = m: r2[0] = 1, then 4 for each axis point c >= 1 at r2[c^2] (the
+    pairs (+-c, 0) and (0, +-c)) and 4 signs for each interior pair c, d >= 1,
+    d up to isqrt(n - c^2), so no step is tested.  Each pair (a, b) is completed
+    by r2[n - a^2 - b^2] pairs: sum_m r2[m] r2[n - m], read as twice the sum
+    over m < n/2, plus r2[n/2]^2 when n is even.  Memory is O(n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > R4_MAX_N:
         raise ValueError(f"n must be <= {R4_MAX_N}")
-    squares = [c * c for c in range(isqrt(n) + 1)]
-    r2 = [0] * (n + 1)
+    squares = [c * c for c in range(1, isqrt(n) + 1)]
+    r2 = [1] + [0] * n
     for cc in squares:
-        for dd in squares[: isqrt(n - cc) + 1]:
-            r2[cc + dd] += (2 if cc else 1) * (2 if dd else 1)
-    return sum(map(mul, r2, reversed(r2)))
+        r2[cc] += 4
+        for dd in squares[: isqrt(n - cc)]:
+            r2[cc + dd] += 4
+    return 2 * sum(map(mul, r2[: (n + 1) // 2], reversed(r2))) + (0 if n & 1 else r2[n // 2] ** 2)
 
 
 def jacobi_count(n: int) -> int:

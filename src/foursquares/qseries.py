@@ -140,7 +140,7 @@ class QSeries:
         return self.__mul__(other)
 
     def __pow__(self, k: int) -> "QSeries":
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:  # bool is an int subclass, and not an exponent
             raise ValueError("exponent must be a non-negative integer")
         result, base = None, self
         while k:

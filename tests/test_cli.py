@@ -17,6 +17,7 @@ import foursquares
 from foursquares import cli, forms, modgroup
 from foursquares.cli import ANALYTIC_CHECKS, MAX_ORDER, run
 from foursquares.numtheory import R4_MAX_N
+from foursquares.qseries import format_golden
 
 GOLDEN_DIR = "golden"
 
@@ -41,6 +42,17 @@ class TestExpand:
         assert code == 0
         assert "10/7" in out
         assert "." not in out
+
+    @pytest.mark.parametrize("name", tuple(cli._SERIES))
+    def test_lines_and_json_match_the_golden_format(self, name):
+        # expand formats each coefficient once; format_golden is its oracle,
+        # and the JSON list holds the text after ": " of each line
+        for order in (0, 1, 37, 300):
+            lines = format_golden(getattr(forms, cli._SERIES[name])(order)).splitlines()
+            code, out, err = invoke(["expand", name, "--order", str(order)])
+            assert (code, out.splitlines(), err) == (0, lines, "")
+            doc = json.loads(invoke(["expand", name, "--order", str(order), "--format", "json"])[1])
+            assert doc["coefficients"] == [line.partition(": ")[2] for line in lines]
 
     def test_json_round_trips(self):
         code, out, _ = invoke(["expand", "L", "--order", "4", "--format", "json"])
@@ -317,12 +329,15 @@ class TestR4:
         assert invoke(["r4", str(n), "--format", "json"]) == (0, json.dumps(doc) + "\n", "")
 
     def test_theta4_coefficient_matches_the_full_fourth_power(self):
-        # r4 reads coefficient n of theta^4 as one dot product over theta^2;
-        # the whole of theta^4 is the oracle, at every n <= 2000 and at 10^5
+        # r4 reads coefficient n of theta^4 over theta^2, each pair {m, n - m}
+        # once; the whole of theta^4 is the oracle, at every n <= 2000 (to
+        # order n itself up to 500) and at 10^5
         t4 = forms.theta4(2000)
         for n in range(2001):
-            assert json.loads(invoke(["r4", str(n), "--format", "json"])[1])[
-                "theta4_coefficient"] == t4[n]
+            coeff = json.loads(invoke(["r4", str(n), "--format", "json"])[1])["theta4_coefficient"]
+            assert coeff == t4[n]
+            if n <= 500:
+                assert coeff == forms.theta4(n)[n]
         doc = json.loads(invoke(["r4", "100000", "--format", "json"])[1])
         assert doc["theta4_coefficient"] == forms.theta4(100_000)[100_000]
 
@@ -623,4 +638,13 @@ def test_replay_tool_gives_the_same_bytes_in_both_orders(capsys):
     assert replay.main([]) == 0
     out = capsys.readouterr().out
     assert "reversed pass differs" not in out
-    assert out.splitlines()[-1].endswith("(262 argvs, 2 passes)")
+    last = out.splitlines()[-1]
+    assert last.endswith("(262 argvs, 2 passes)")
+    # --expect turns the run into a gate on the overall digest
+    digest = last.split()[1]
+    assert replay.main(["--expect", digest]) == 0
+    assert "differs" not in capsys.readouterr().out
+    wrong = f"{int(digest, 16) ^ 1:064x}"
+    assert replay.main(["--expect", wrong]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"overall digest differs from the expected {wrong}")

@@ -83,6 +83,17 @@ class TestMat2Z:
         assert MAT_S * MAT_S == minus_id
         assert (MAT_S * MAT_T) ** 3 == minus_id
 
+    @pytest.mark.parametrize("exp", [True, False, 1.5, 2.0, Fraction(2)])
+    def test_non_int_powers_rejected(self, exp):
+        # bool is an int subclass: unchecked, MAT_T ** True would be MAT_T
+        with pytest.raises(TypeError, match="exponent of a matrix"):
+            MAT_T ** exp
+
+    def test_powers(self):
+        assert MAT_T ** 0 == IDENTITY
+        assert MAT_T ** 5 == Mat2Z(1, 5, 0, 1)
+        assert MAT_U ** -3 == Mat2Z(1, 0, -12, 1)
+
     def test_inverse(self):
         for m in (MAT_S, MAT_T, MAT_U, Mat2Z(-7, 2, -4, 1)):
             assert m * m.inv() == IDENTITY
@@ -119,6 +130,13 @@ class TestMobius:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             mobius(MAT_T, 1 - 1j)
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, math.nan), complex(0.3, math.nan),
+                                     complex(0.3, math.inf), complex(math.inf, 1)])
+    def test_rejects_non_finite_tau(self, tau):
+        # unchecked, each would act to nan+nanj, or pass inf+1j on as a point
+        with pytest.raises(ValueError, match="finite"):
+            mobius(MAT_S, tau)
 
     def test_group_action_composition(self):
         rng = random.Random(2024)

@@ -1,5 +1,6 @@
 """Number-theory oracles, checked against even dumber enumerations."""
 
+import operator
 import random
 import sys
 import threading
@@ -107,6 +108,18 @@ def r4_by_triple_loop(n):
                 if rem >= 0 and isqrt(rem) ** 2 == rem:
                     total += 1 if rem == 0 else 2
     return total
+
+
+def r2_by_signed_scan(limit):
+    """r2[m] = #{(c, d) in Z^2 : c^2 + d^2 = m} for m <= limit, by scanning
+    every signed pair in the square."""
+    r = isqrt(limit)
+    r2 = [0] * (limit + 1)
+    for c in range(-r, r + 1):
+        for d in range(-r, r + 1):
+            if c * c + d * d <= limit:
+                r2[c * c + d * d] += 1
+    return r2
 
 
 def r4_by_quadruple_scan(n):
@@ -241,6 +254,16 @@ class TestR4:
 
     def test_lagrange_at_desk_scale(self):
         assert all(r4_bruteforce(n) >= 1 for n in range(1, 300))
+
+    def test_half_sum_equals_the_full_sum(self):
+        # r4_bruteforce sums each unordered pair {m, n - m} once; the full
+        # sum over every m, on a table of signed pairs, is its oracle at odd
+        # and even n, at n = 0 and at the cap
+        r2 = r2_by_signed_scan(2000)
+        for n in range(2001):
+            assert r4_bruteforce(n) == sum(r2[m] * r2[n - m] for m in range(n + 1))
+        r2 = r2_by_signed_scan(R4_MAX_N)
+        assert r4_bruteforce(R4_MAX_N) == sum(map(operator.mul, r2, reversed(r2)))
 
     def test_bounds(self):
         with pytest.raises(ValueError):

@@ -415,6 +415,12 @@ class TestPow:
         with pytest.raises(ValueError):
             theta_like(3) ** -1
 
+    @pytest.mark.parametrize("exp", [True, False, 2.0])
+    def test_non_int_exponents_rejected(self, exp):
+        # bool is an int subclass: unchecked, s ** True would be s
+        with pytest.raises(ValueError, match="exponent"):
+            theta_like(3) ** exp
+
 
 class TestQderiv:
     def test_constant(self):

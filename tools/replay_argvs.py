@@ -12,8 +12,12 @@ coefficient 5 replaced by 7/3, made in a temporary directory; its path is
 written back as ``{bad}`` before hashing, so digests do not depend on it.
 
     PYTHONPATH=src python tools/replay_argvs.py [--argvs BENCH_18.json] [--show]
+                                                [--expect DIGEST]
 
-Exit code 1 if any argv gives different bytes in the two passes.
+Exit code 1 if any argv gives different bytes in the two passes, or if
+``--expect`` names an overall digest other than the one the run gives: the
+digest of a known-good tree, given as ``--expect``, makes the byte check one
+command.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--argvs", type=Path, default=ROOT / "BENCH_18.json",
                         help="JSON file whose outputs.argvs lists the command lines")
     parser.add_argument("--show", action="store_true", help="print each argv's stdout and stderr")
+    parser.add_argument("--expect", metavar="DIGEST",
+                        help="exit 1 unless the overall digest is DIGEST")
     args = parser.parse_args(argv)
     argvs = json.loads(args.argvs.read_text())["outputs"]["argvs"]
     print(f"# foursquares from {Path(cli.__file__).parent}", file=sys.stderr)
@@ -78,7 +84,11 @@ def main(argv: list[str] | None = None) -> int:
             elif passes[name][i] != passes["forward"][i]:
                 changed += 1
                 print(f"reversed pass differs: {digest}  {code}  {shlex.join(argvs[i])}")
-    print(f"overall {overall.hexdigest()}  ({len(argvs)} argvs, 2 passes)")
+    total = overall.hexdigest()
+    print(f"overall {total}  ({len(argvs)} argvs, 2 passes)")
+    if args.expect is not None and args.expect != total:
+        print(f"overall digest differs from the expected {args.expect}")
+        return 1
     return 1 if changed else 0
 
 
