@@ -156,9 +156,6 @@ def congruence_indices() -> dict[str, int]:
 
 # --------------------------------------------------------------------- words
 
-_WORD_LETTER_RE = re.compile(r"([TU])(?:\^(-?\d+))?")
-
-
 def _left(gen: str, k: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     """The entries of gen^k [[a, b], [c, d]], for T^k = [[1,k],[0,1]] and U^k = [[1,0],[4k,1]]."""
     if gen == "T":
@@ -204,20 +201,6 @@ class GenWord(Record):
         return " ".join(f"{g}^{e}" for g, e in self.letters)
 
     __str__ = format
-
-
-def parse_word(text: str) -> GenWord:
-    """Parse the text format "T^2 U^-1 T^3" ("1" is the empty word)."""
-    text = text.strip()
-    if text in ("", "1"):
-        return GenWord()
-    letters = []
-    for part in text.split():
-        m = _WORD_LETTER_RE.fullmatch(part)
-        if not m:
-            raise ValueError(f"malformed word letter {part!r}")
-        letters.append((m.group(1), int(m.group(2) or 1)))
-    return GenWord(letters)
 
 
 def _nearest(p: int, q: int) -> int:

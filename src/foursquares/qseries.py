@@ -151,13 +151,8 @@ class QSeries:
                 base = base * base
         return QSeries.one(self.order) if result is None else result
 
-    # ------------------------------------------------------------- formatting
-
-    def __str__(self) -> str:
-        return format_series(self)
-
     def __repr__(self) -> str:
-        return f"QSeries({format_series(self)!r})"
+        return f"QSeries({list(self.coeffs)!r})"
 
 
 # The signed `array` typecode of each item size this platform has, smallest
@@ -265,23 +260,6 @@ def substitute_neg(a: QSeries) -> QSeries:
 
 
 # ------------------------------------------------------------------ text forms
-#
-# Display format: "c0 + c1*q + c2*q^2 + ..." with every coefficient printed
-# (zeros included, so the text shows the truncation order) and rationals as
-# "p/q".  Negative coefficients render with a " - " separator.
-
-def format_series(a: QSeries) -> str:
-    parts: list[str] = []
-    for n, c in enumerate(a.coeffs):
-        if n == 0:
-            parts.append(str(c))
-            continue
-        sep = " - " if c < 0 else " + "
-        mag = -c if c < 0 else c
-        term = f"{mag}*q" if n == 1 else f"{mag}*q^{n}"
-        parts.append(sep + term)
-    return "".join(parts)
-
 
 def format_golden(a: QSeries) -> str:
     """Golden-file form: one coefficient per line as "n: p/q", newline-terminated."""

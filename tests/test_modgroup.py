@@ -25,7 +25,6 @@ from foursquares.modgroup import (
     in_gamma1_4,
     mobius,
     parse_matrix,
-    parse_word,
     reduce_to_fundamental,
 )
 
@@ -227,14 +226,6 @@ class TestWords:
             assert words[-1].evaluate() == parabolic ** k
         for w in words:
             assert w.evaluate() == product_of_letters(w), w
-
-    def test_word_parse_round_trip(self):
-        for text in ("1", "T^3", "U^-1", "T^2 U^-1 T^3"):
-            assert parse_word(text).format() == text
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_word("T^2 V^1")
 
     def test_inverse(self):
         rng = random.Random(5)
