@@ -345,7 +345,7 @@ def G4_lattice(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex,
                          for c in range(1, radius + 1)))
     zeta4 = _PI**4 / 90.0
     total = 2.0 * complex(math.fsum([zeta4, *map(_REAL, rows)]), math.fsum(map(_IMAG, rows)))
-    bound = omitted + 2.0 * (sum(bounds) + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
+    bound = omitted + 2.0 * (math.fsum(bounds) + 8.0 * _U * zeta4) + 1.5 * _U * abs(total)
     return total, bound, radius, omitted
 
 
@@ -421,7 +421,7 @@ def _row_sum_left(tau: complex, power: int) -> tuple[complex, float]:
     betas, remainder = _TAILS[power]
     t, window = tau - round(tau.real), _ROW_WINDOW
     terms = [(t + d) ** -power for d in range(-window, window + 1)]
-    a, moduli = window + 1, (4 * power + 8) * sum(map(abs, terms))
+    a, moduli = window + 1, (4 * power + 8) * math.fsum(map(abs, terms))
     if not math.isfinite(moduli):  # (t + d)^k overflows from im t ~ 1e77 (k = 4)
         raise ValueError(f"the row sum at im(tau) = {t.imag:g} leaves the range of double precision")
     for z in (a + t, a - t):
