@@ -1,10 +1,12 @@
 """Command-line contract: output shapes, exit codes, text/json agreement."""
 
+import contextlib
 import importlib.util
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -628,13 +630,21 @@ def test_subcommands_load_only_the_modules_they_run(argvs, absent):
     assert _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=absent)) == "[]"
 
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+PIN_FILE = TOOLS / "argv_pins.json"
+
+
+def _replay_tool():
+    spec = importlib.util.spec_from_file_location("replay_argvs", TOOLS / "replay_argvs.py")
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    return replay
+
+
 def test_replay_tool_gives_the_same_bytes_in_both_orders(capsys):
     # tools/replay_argvs.py runs each recorded argv through cli.run forward,
     # then reversed, and exits 1 if any argv's bytes differ between passes.
-    path = Path(__file__).resolve().parent.parent / "tools" / "replay_argvs.py"
-    spec = importlib.util.spec_from_file_location("replay_argvs", path)
-    replay = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay)
+    replay = _replay_tool()
     assert replay.main([]) == 0
     out = capsys.readouterr().out
     assert "reversed pass differs" not in out
@@ -648,3 +658,47 @@ def test_replay_tool_gives_the_same_bytes_in_both_orders(capsys):
     assert replay.main(["--expect", wrong]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"overall digest differs from the expected {wrong}")
+
+
+def test_every_pinned_argv_keeps_its_exit_code_and_bytes(capsys):
+    # The byte gate.  A change that alters an argv's output on purpose
+    # updates its pin in tools/argv_pins.json from the "pin differs:" line.
+    code = _replay_tool().main(["--argvs", str(PIN_FILE)])
+    out = capsys.readouterr().out
+    assert code == 0, "\n".join(line for line in out.splitlines() if "differs" in line)
+    assert out.splitlines()[-1].endswith("(267 argvs, 2 passes)")
+
+
+def _argparse_prints(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return True
+    return False
+
+
+def test_pins_hash_exactly_the_argvs_the_package_prints():
+    # argparse's usage and help text changes between Python versions, so
+    # those argvs pin their exit code only; every other argv pins its bytes.
+    pins = json.loads(PIN_FILE.read_text())["pins"]
+    recorded = json.loads((TOOLS.parent / "BENCH_18.json").read_text())["outputs"]["argvs"]
+    assert [pin["argv"] for pin in pins[: len(recorded)]] == recorded
+    assert all(pin["argv"][:2] == ["verify-analytic", "monodromy"] for pin in pins[len(recorded):])
+    for pin in pins:
+        assert ("sha256" in pin) != _argparse_prints(pin["argv"]), pin["argv"]
+
+
+def test_pin_check_names_each_argv_that_differs(tmp_path, capsys):
+    record = json.loads(PIN_FILE.read_text())
+    hashed = next(pin for pin in record["pins"] if "sha256" in pin)
+    last = hashed["sha256"][-1]
+    hashed["sha256"] = hashed["sha256"][:-1] + ("1" if last == "0" else "0")
+    code_only = next(pin for pin in record["pins"] if "sha256" not in pin)
+    code_only["code"] += 1
+    (tmp_path / "pins.json").write_text(json.dumps(record))
+    assert _replay_tool().main(["--argvs", str(tmp_path / "pins.json")]) == 1
+    differs = [line for line in capsys.readouterr().out.splitlines() if "differs" in line]
+    assert len(differs) == 2 and all(line.startswith("pin differs: ") for line in differs)
+    named = {shlex.join(pin["argv"]) for pin in (hashed, code_only)}
+    assert {line.split("  ")[2] for line in differs} == named

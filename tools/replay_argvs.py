@@ -7,6 +7,15 @@ exit code and the argv, and at the end one digest over every line of both
 passes.  Two trees whose overall digests agree gave the same bytes on every
 argv; ``--show`` prints the outputs themselves, for a diff of two runs.
 
+``--argvs`` reads either a benchmark record, whose ``outputs.argvs`` lists
+bare argvs, or a pin file, whose ``pins`` lists ``{"argv", "code", "sha256"}``
+entries.  With a pin file each argv must exit with its pinned code, and each
+entry that carries a ``sha256`` must give that digest; every entry that
+differs is printed as ``pin differs:`` with the digest and code it gave and
+the ones pinned.  ``tools/argv_pins.json`` pins every argv whose bytes the
+package prints; the argvs whose text argparse prints (usage errors and
+``--help``), which changes between Python versions, pin their exit code only.
+
 The argv ``{bad}`` stands for a golden directory whose phi.txt has
 coefficient 5 replaced by 7/3, made in a temporary directory; its path is
 written back as ``{bad}`` before hashing, so digests do not depend on it.
@@ -14,10 +23,10 @@ written back as ``{bad}`` before hashing, so digests do not depend on it.
     PYTHONPATH=src python tools/replay_argvs.py [--argvs BENCH_18.json] [--show]
                                                 [--expect DIGEST]
 
-Exit code 1 if any argv gives different bytes in the two passes, or if
-``--expect`` names an overall digest other than the one the run gives: the
-digest of a known-good tree, given as ``--expect``, makes the byte check one
-command.
+Exit code 1 if any argv gives different bytes in the two passes or differs
+from its pin, or if ``--expect`` names an overall digest other than the one
+the run gives: the digest of a known-good tree, given as ``--expect``, makes
+the byte check one command.
 """
 
 from __future__ import annotations
@@ -56,12 +65,14 @@ def replay(argv: list[str], bad: str) -> tuple[int, str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--argvs", type=Path, default=ROOT / "BENCH_18.json",
-                        help="JSON file whose outputs.argvs lists the command lines")
+                        help="JSON file whose outputs.argvs, or whose pins, list the command lines")
     parser.add_argument("--show", action="store_true", help="print each argv's stdout and stderr")
     parser.add_argument("--expect", metavar="DIGEST",
                         help="exit 1 unless the overall digest is DIGEST")
     args = parser.parse_args(argv)
-    argvs = json.loads(args.argvs.read_text())["outputs"]["argvs"]
+    record = json.loads(args.argvs.read_text())
+    pins = record.get("pins")
+    argvs = [pin["argv"] for pin in pins] if pins is not None else record["outputs"]["argvs"]
     print(f"# foursquares from {Path(cli.__file__).parent}", file=sys.stderr)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -71,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, indices in (("forward", order), ("reversed", order[::-1])):
             passes[name] = {i: replay(argvs[i], bad) for i in indices}
 
-    overall, changed = hashlib.sha256(), 0
+    overall, changed, unpinned = hashlib.sha256(), 0, 0
     for name in ("forward", "reversed"):
         for i in order:
             code, out, err = passes[name][i]
@@ -81,6 +92,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{digest}  {code}  {shlex.join(argvs[i])}")
                 if args.show:
                     print("".join(f"    | {line}\n" for line in (out + err).splitlines()), end="")
+                pin = pins and pins[i]
+                if pin and (code, digest) != (pin["code"], pin.get("sha256", digest)):
+                    unpinned += 1
+                    print(f"pin differs: {digest}  {code}  {shlex.join(argvs[i])}"
+                          f"  (pinned {pin.get('sha256', 'exit code only')}  {pin['code']})")
             elif passes[name][i] != passes["forward"][i]:
                 changed += 1
                 print(f"reversed pass differs: {digest}  {code}  {shlex.join(argvs[i])}")
@@ -89,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.expect is not None and args.expect != total:
         print(f"overall digest differs from the expected {args.expect}")
         return 1
-    return 1 if changed else 0
+    return 1 if changed or unpinned else 0
 
 
 if __name__ == "__main__":
