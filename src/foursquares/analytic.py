@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .numtheory import sigma3_table, sigma_table
+from .numtheory import euler_quotient, partitions_table, phi_by_reduction, sigma3_table, sigma_table
 from .report import CheckReport, MembershipError, Record
 
 if TYPE_CHECKING:
@@ -256,14 +256,14 @@ def M_eval(tau: complex) -> complex:
 
 @lru_cache(maxsize=None)
 def _psi_np(order: int) -> tuple[float, ...]:
-    from . import forms
-    return forms.psi_by_partition_square(order).floats()
+    return tuple(map(float, euler_quotient(partitions_table(order))))
 
 
 @lru_cache(maxsize=None)
 def _phi_np(order: int) -> tuple[float, ...]:
-    from . import forms
-    return forms.phi_by_reduction_of_order(order).floats()
+    # int true division is correctly rounded: each float is phi_n's own
+    num, den = phi_by_reduction(order)
+    return tuple(c / den for c in num)
 
 
 def _weight1_bound(n: int) -> float:
@@ -556,21 +556,21 @@ def check_monodromy(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckRepo
 
 
 @lru_cache(maxsize=None)
-def _d2_table(kind: str, order: int) -> tuple[float, ...]:
-    """c_n f_n^2: c = psi and f_n = pi (12n - 1) / 6 for g, phi and (12n + 1) for h."""
-    sign, table = (-1, _psi_np) if kind == "g" else (1, _phi_np)
+def _d2_table(sign: int, order: int) -> tuple[float, ...]:
+    """c_n f_n^2, f_n = pi (12n + sign) / 6: c = psi for g (sign -1), phi for h (+1)."""
+    table = _psi_np if sign < 0 else _phi_np
     return tuple(c * f * f for c, f in
                  zip(table(order), (_PI * (12 * n + sign) / 6.0 for n in range(order + 1))))
 
 
-def _termwise_second_derivative(kind: str, tau: complex) -> complex:
-    """d^2/dtau^2 of g or h by differentiating each exponential term.
+def _termwise_second_derivative(sign: int, tau: complex) -> complex:
+    """d^2/dtau^2 of g (sign -1) or h (+1) by differentiating each exponential term.
 
     g(tau) = sum b_n exp(i pi (12n - 1) tau / 6) and h likewise with
     (12n + 1), so the n-th term picks up -(pi (12n -+ 1) / 6)^2, under
     (2 pi (n + 1))^2, by which the tail bound grows.
     """
-    return -_weight1(-1 if kind == "g" else 1, tau, partial(_d2_table, kind),
+    return -_weight1(sign, tau, partial(_d2_table, sign),
                      lambda n: _weight1_bound(n) + 2.0 * math.log(2.0 * _PI * (n + 1)),
                      floor=False)
 
@@ -586,8 +586,8 @@ def check_ode_solution(tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> CheckR
     if tau.imag <= 0.1:
         raise ValueError("ode check requires im(tau) > 0.1")
     mval = M_eval(tau)
-    g, h = (abs(_termwise_second_derivative(kind, tau) + _PI**2 / 36.0 * mval * func(tau))
-            for kind, func in (("g", g_eval), ("h", h_eval)))
+    g, h = (abs(_termwise_second_derivative(sign, tau) + _PI**2 / 36.0 * mval * func(tau))
+            for sign, func in ((-1, g_eval), (1, h_eval)))
     return _law_report("ode-solution", max(g, h), cfg, tau=tau,
                        witness=f"residual g={g:.3e}, h={h:.3e}")
 
@@ -603,7 +603,7 @@ def check_weight1_invariance(
     """
     tau = _require_uhp(tau)
     atau, j = _image(m, tau, floor=0.1)
-    residual = abs(_termwise_second_derivative("g", atau) / j**3
+    residual = abs(_termwise_second_derivative(-1, atau) / j**3
                    + (_PI**2 / 36.0) * M_eval(tau) * j * g_eval(atau))
     return _law_report("weight1-invariance", residual, cfg, tau=tau, matrix=m.format())
 

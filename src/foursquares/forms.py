@@ -9,9 +9,9 @@ Constructors for the series in play:
     series_M  1 + 240 * sum sigma3(n) q^n
     psi       the weight-1 density factor P(q)^2 by Euler's pentagonal recurrence,
               checked by the sigma and sigma3 recursions (exp runs the sigma one)
-    phi       the companion solution's series by reduction of order: P(q)^2
-              times the term-by-term integral of prod (1-q^n)^4, checked
-              against the sigma3 recursion
+    phi       the companion solution's series by reduction of order, from
+              numtheory's ints: P(q)^2 times the term-by-term integral of
+              prod (1-q^n)^4, checked against the sigma3 recursion
     partition_series   P(q) = sum p(k) q^k
 
 The verify_* functions re-derive both sides of an identity through
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .numtheory import (
     euler_quotient,
     partitions_table,
-    pentagonal,
+    phi_by_reduction,
     sigma,
     sigma3_table,
     sigma_table,
@@ -120,24 +120,11 @@ def phi_by_reduction_of_order(order: int) -> QSeries:
 
     Reduction of order: h = g * integral of 1/g^2, and 1/g^2 = eta^4 =
     q^(1/6) prod (1-q^n)^4, so integrating term by term in tau divides
-    e_n by n + 1/6.  The sum's int numerators over its least denominator
-    (phi's too, as P(q)^2 and 1/P(q)^2 have int coefficients) are divided
-    twice by prod (1-q^n).
+    e_n by n + 1/6.  The ints come from :func:`numtheory.phi_by_reduction`.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    e = _euler_product(order) ** 4
-    den = math.lcm(*((6 * n + 1) // math.gcd(c, 6 * n + 1) for n, c in enumerate(e.coeffs)))
-    num = [c * den // (6 * n + 1) for n, c in enumerate(e.coeffs)]
-    return QSeries._of(euler_quotient(euler_quotient(num)), den)
-
-
-def _euler_product(order: int) -> QSeries:
-    """prod (1-q^n) by Euler's pentagonal number theorem."""
-    coeffs = [1] + [0] * order
-    for g, sign in pentagonal(order):
-        coeffs[g] = sign
-    return QSeries._of(coeffs)
+    return QSeries._of(*phi_by_reduction(order))
 
 
 # ----------------------------------------------------------------- verifiers

@@ -1,19 +1,21 @@
-"""Exact integer arithmetic oracles: divisor sums, the generalised pentagonal
-numbers, partition numbers, and brute-force four-square representation counts.
+"""Exact integer arithmetic: divisor sums, the generalised pentagonal numbers,
+partition numbers, brute-force four-square counts, and phi's reduction-of-order
+ints (verify psi-triple checks them against the sigma3 recursion).
 
-Everything here is ground truth for the series modules: plain enumeration
-and trial division over arbitrary-precision integers, sharing no code with
-the series they check.  r4_bruteforce counts lattice points in two halves:
-the pairs (c, d) first, axis and interior points apart so no step is tested,
-then the pairs (a, b) they complete, each pair of halves once.  Every value is
-a pure function of the arguments; the sigma, sigma3 and partition tables are
-kept per process as immutable tuples up to _KEPT_LIMIT, so callers may fan out
-over n with no coordination.
+The rest is ground truth for the series modules: plain enumeration and trial
+division over arbitrary-precision integers, sharing no code with the series
+they check.  r4_bruteforce counts lattice points in two halves: the pairs
+(c, d) first, axis and interior points apart so no step is tested, then the
+pairs (a, b) they complete, each pair of halves once.  Every value is a pure
+function of the arguments; the sigma, sigma3 and partition tables are kept per
+process as immutable tuples up to _KEPT_LIMIT, so callers may fan out over n
+with no coordination.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import product
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -114,6 +116,22 @@ def euler_quotient(y: Sequence[int]) -> list[int]:
 def partitions_table(limit: int) -> list[int]:
     """[p(0), p(1), ..., p(limit)]: the series 1 / prod (1-q^n)."""
     return _kept_prefix("partitions", limit, lambda n: euler_quotient([1] + [0] * n))
+
+
+def phi_by_reduction(limit: int) -> tuple[list[int], int]:
+    """(num, den), phi_n = num[n] / den for n <= limit: e = prod (1-q^n)^4 is
+    Euler's E times Jacobi's E^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) (Hardy-Wright,
+    Thm 357), and the e_n / (6n+1) over their least denominator are divided
+    twice by E (see forms.phi_by_reduction_of_order)."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    cube = [(k * (k + 1) // 2, -2 * k - 1 if k & 1 else 2 * k + 1) for k in range(isqrt(2 * limit) + 1)]
+    e = [0] * (limit + 1)
+    for (g, sign), (t, c) in product([(0, 1), *pentagonal(limit)], cube):
+        if g + t <= limit:
+            e[g + t] += sign * c
+    den = lcm(*((6 * n + 1) // gcd(c, 6 * n + 1) for n, c in enumerate(e)))
+    return euler_quotient(euler_quotient([c * den // (6 * n + 1) for n, c in enumerate(e)])), den
 
 
 def r4_bruteforce(n: int) -> int:

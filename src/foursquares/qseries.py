@@ -78,11 +78,6 @@ class QSeries:
     def stored(self) -> tuple[tuple[int, ...], int]:  # (_num, _den), read-only
         return self._num, self._den
 
-    def floats(self) -> tuple[float, ...]:
-        """The coefficients as floats, each equal to float() of its Fraction:
-        int true division is correctly rounded, so no Fraction is built."""
-        return tuple(c / self._den for c in self._num)
-
     @classmethod
     def zero(cls, order: int) -> "QSeries":
         return cls([], order=order)

@@ -604,26 +604,23 @@ def test_import_probe_sees_numpy():
     assert _fresh_python(probe) == "['numpy']"
 
 
-_NO_FORMS = ("dataclasses", "foursquares.forms", "foursquares.qseries", "fractions")
-_G_AND_H = ("ode-solution", "weight1", "monodromy")
+_NO_FORMS = ("dataclasses", "decimal", "foursquares.forms", "foursquares.qseries", "fractions")
 
 
 # Each subcommand imports only the package modules it runs, no process
-# imports dataclasses, and verify, expand and r4 import no numpy.  Only
-# ode-solution, weight1 and monodromy of the analytic checks evaluate g or
-# h, whose tables come from `forms`.
+# imports dataclasses, and verify, expand and r4 import no numpy.  The
+# analytic checks, g and h among them, take their tables from `numtheory`,
+# so none loads the exact series layer.
 _LOAD_CASES = [
     ([["verify", "jacobi", "--order", "20"], ["expand", "psi", "--order", "20"], ["r4", "10"]],
      ("dataclasses", "foursquares.modgroup", "numpy")),
     ([["reduce-tau", "5.3,2"], ["decompose", "--matrix", "[[-7,2],[-4,1]]"], ["indices"],
-      *[["verify-analytic", c] for c in ANALYTIC_CHECKS if c not in _G_AND_H]],
+      *[["verify-analytic", c] for c in ANALYTIC_CHECKS]],
      _NO_FORMS),
-    ([["verify-analytic", c] for c in _G_AND_H], ("dataclasses",)),
 ]
 
 
-@pytest.mark.parametrize("argvs, absent", _LOAD_CASES,
-                         ids=["exact", "group-and-laws", "weight1-solutions"])
+@pytest.mark.parametrize("argvs, absent", _LOAD_CASES, ids=["exact", "group-and-laws"])
 def test_subcommands_load_only_the_modules_they_run(argvs, absent):
     # together the cases run every row of the command table
     assert {argv[0] for case, _ in _LOAD_CASES for argv in case} == set(cli._COMMANDS)
@@ -642,14 +639,14 @@ def _replay_tool():
 
 
 def test_replay_tool_gives_the_same_bytes_in_both_orders(capsys):
-    # tools/replay_argvs.py runs each recorded argv through cli.run forward,
+    # tools/replay_argvs.py runs each pinned argv through cli.run forward,
     # then reversed, and exits 1 if any argv's bytes differ between passes.
     replay = _replay_tool()
     assert replay.main([]) == 0
     out = capsys.readouterr().out
     assert "reversed pass differs" not in out
     last = out.splitlines()[-1]
-    assert last.endswith("(262 argvs, 2 passes)")
+    assert last.endswith("(267 argvs, 2 passes)")
     # --expect turns the run into a gate on the overall digest
     digest = last.split()[1]
     assert replay.main(["--expect", digest]) == 0

@@ -124,8 +124,8 @@ class TestPsiPhi:
         assert list(phi.coeffs) == want
 
     def test_reduction_of_order_matches_recursion(self):
-        assert phi_by_reduction_of_order(400) == phi_by_recursion(400)
-        assert phi_by_reduction_of_order(0) == QSeries([1])
+        for order in (0, 1, 2, 57, 400):
+            assert phi_by_reduction_of_order(order) == phi_by_recursion(order)
 
     def test_order_zero_is_one(self):
         for builder in (series_L, series_M, psi_by_recursion, psi_by_sigma3_recursion,

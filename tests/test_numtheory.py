@@ -20,6 +20,7 @@ from foursquares.numtheory import (
     jacobi_count,
     partitions_table,
     pentagonal,
+    phi_by_reduction,
     r4_bruteforce,
     sigma,
     sigma3,
@@ -232,6 +233,27 @@ class TestPentagonal:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             pentagonal(-1)
+
+
+class TestPhiByReduction:
+    def test_euler_product_cubed_is_jacobis_series(self):
+        # phi_by_reduction reads prod (1-q^n)^3 off Jacobi's identity; the
+        # series kernel's cube of Euler's pentagonal series is the oracle
+        order = 3000
+        euler = [1] + [0] * order
+        for g, sign in pentagonal(order):
+            euler[g] = sign
+        want = [0] * (order + 1)
+        k = 0
+        while k * (k + 1) // 2 <= order:
+            want[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+            k += 1
+        assert list((QSeries._of(euler) ** 3).coeffs) == want
+
+    def test_rejects_negative(self):
+        # like the kept tables
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            phi_by_reduction(-1)
 
 
 class TestR4:

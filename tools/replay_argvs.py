@@ -7,26 +7,28 @@ exit code and the argv, and at the end one digest over every line of both
 passes.  Two trees whose overall digests agree gave the same bytes on every
 argv; ``--show`` prints the outputs themselves, for a diff of two runs.
 
-``--argvs`` reads either a benchmark record, whose ``outputs.argvs`` lists
-bare argvs, or a pin file, whose ``pins`` lists ``{"argv", "code", "sha256"}``
-entries.  With a pin file each argv must exit with its pinned code, and each
-entry that carries a ``sha256`` must give that digest; every entry that
-differs is printed as ``pin differs:`` with the digest and code it gave and
-the ones pinned.  ``tools/argv_pins.json`` pins every argv whose bytes the
-package prints; the argvs whose text argparse prints (usage errors and
-``--help``), which changes between Python versions, pin their exit code only.
+``--argvs`` reads either a pin file, whose ``pins`` lists ``{"argv", "code",
+"sha256"}`` entries, or a benchmark record such as ``BENCH_20.json``, whose
+``outputs.argvs`` lists bare argvs.  With a pin file each argv must exit with
+its pinned code, and each entry that carries a ``sha256`` must give that
+digest; every entry that differs is printed as ``pin differs:`` with the
+digest and code it gave and the ones pinned.  The default,
+``tools/argv_pins.json``, pins every argv whose bytes the package prints, so
+the bare command is the byte gate; the argvs whose text argparse prints
+(usage errors and ``--help``), which changes between Python versions, pin
+their exit code only.
 
 The argv ``{bad}`` stands for a golden directory whose phi.txt has
 coefficient 5 replaced by 7/3, made in a temporary directory; its path is
 written back as ``{bad}`` before hashing, so digests do not depend on it.
 
-    PYTHONPATH=src python tools/replay_argvs.py [--argvs BENCH_18.json] [--show]
+    PYTHONPATH=src python tools/replay_argvs.py [--argvs tools/argv_pins.json] [--show]
                                                 [--expect DIGEST]
 
 Exit code 1 if any argv gives different bytes in the two passes or differs
 from its pin, or if ``--expect`` names an overall digest other than the one
-the run gives: the digest of a known-good tree, given as ``--expect``, makes
-the byte check one command.
+the run gives: for a record without pins, the digest of a known-good tree,
+given as ``--expect``, makes the byte check one command.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def replay(argv: list[str], bad: str) -> tuple[int, str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--argvs", type=Path, default=ROOT / "BENCH_18.json",
+    parser.add_argument("--argvs", type=Path, default=ROOT / "tools" / "argv_pins.json",
                         help="JSON file whose outputs.argvs, or whose pins, list the command lines")
     parser.add_argument("--show", action="store_true", help="print each argv's stdout and stderr")
     parser.add_argument("--expect", metavar="DIGEST",
