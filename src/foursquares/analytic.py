@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .numtheory import euler_quotient, partitions_table, phi_by_reduction, sigma3_table, sigma_table
+from .numtheory import phi_by_reduction, psi_table, sigma3_table, sigma_table
 from .report import CheckReport, MembershipError, Record
 
 if TYPE_CHECKING:
@@ -256,7 +256,7 @@ def M_eval(tau: complex) -> complex:
 
 @lru_cache(maxsize=None)
 def _psi_np(order: int) -> tuple[float, ...]:
-    return tuple(map(float, euler_quotient(partitions_table(order))))
+    return tuple(map(float, psi_table(order)))
 
 
 @lru_cache(maxsize=None)

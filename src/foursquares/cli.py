@@ -175,7 +175,7 @@ def _cmd_r4(args):
     n = args.n
     brute = r4_bruteforce(n)
     # theta^4's coefficient n is sum_m t2[m] t2[n - m] over theta^2, each pair {m, n - m} once
-    t2 = (forms.theta(n) ** 2).coeffs
+    t2 = forms.theta2(n).coeffs
     coeff = 2 * sum(map(mul, t2[: (n + 1) // 2], reversed(t2))) + (0 if n & 1 else t2[n // 2] ** 2)
     jacobi = jacobi_count(n) if n >= 1 else None
     agree = brute == coeff and jacobi in (None, brute)

@@ -3,8 +3,9 @@
 Constructors for the series in play:
 
     theta     sum over all integers n of q^(n^2)
-    theta4    theta to the fourth power; coefficient n counts the ordered
-              four-square representations of n
+    theta2    theta squared, the kernel's theta * theta
+    theta4    theta2 squared; coefficient n counts the ordered four-square
+              representations of n
     series_L  1 - 24 * sum sigma(n) q^n
     series_M  1 + 240 * sum sigma3(n) q^n
     psi       the weight-1 density factor P(q)^2 by Euler's pentagonal recurrence,
@@ -25,9 +26,10 @@ import math
 from fractions import Fraction
 
 from .numtheory import (
-    euler_quotient,
+    _kept_prefix,
     partitions_table,
     phi_by_reduction,
+    psi_table,
     sigma,
     sigma3_table,
     sigma_table,
@@ -47,9 +49,19 @@ def theta(order: int) -> QSeries:
     return QSeries._of(coeffs)
 
 
+def theta2(order: int) -> QSeries:
+    """theta * theta by the series kernel, kept per process; `foursquares r4` reads it."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return QSeries._of(_kept_prefix("theta2", order, lambda n: (theta(n) ** 2).coeffs))
+
+
 def theta4(order: int) -> QSeries:
-    """Fourth power of theta; coefficient n counts four-square representations."""
-    return theta(order) ** 4
+    """theta2 * theta2 by the kernel, kept per process; coefficient n counts
+    four-square representations."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return QSeries._of(_kept_prefix("theta4", order, lambda n: (theta2(n) ** 2).coeffs))
 
 
 def series_L(order: int) -> QSeries:
@@ -105,8 +117,10 @@ def psi_by_exp(order: int) -> QSeries:
 
 
 def psi_by_partition_square(order: int) -> QSeries:
-    """psi as P(q)^2: the partition series divided once more by prod (1-q^n)."""
-    return QSeries._of(euler_quotient(partition_series(order).coeffs))
+    """psi as P(q)^2, kept per process (numtheory.psi_table)."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return QSeries._of(psi_table(order))
 
 
 def phi_by_recursion(order: int) -> QSeries:

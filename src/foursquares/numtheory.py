@@ -7,9 +7,11 @@ division over arbitrary-precision integers, sharing no code with the series
 they check.  r4_bruteforce counts lattice points in two halves: the pairs
 (c, d) first, axis and interior points apart so no step is tested, then the
 pairs (a, b) they complete, each pair of halves once.  Every value is a pure
-function of the arguments; the sigma, sigma3 and partition tables are kept per
-process as immutable tuples up to _KEPT_LIMIT, so callers may fan out over n
-with no coordination.
+function of the arguments.  _kept holds, per process, each kind's largest
+build as one immutable value that a larger build replaces whole, so callers
+may fan out over n with no coordination: the sigma, sigma3, partition and psi
+tables here and forms' theta2 and theta4 up to _KEPT_LIMIT, and phi's
+(num, den) pair up to _PHI_KEPT_LIMIT.
 """
 
 from __future__ import annotations
@@ -20,21 +22,25 @@ from operator import mul
 from typing import Sequence
 
 # r4_bruteforce takes about (pi/4) n untested steps and one table of n + 1
-# ints (0.03 s and 1.5 MB at n = 2 * 10^5).  The `foursquares r4` subcommand
-# around it forms theta^2 by the kernel (about n^1.6: Karatsuba on the packed
-# ints), which sets its cost, and then one dot product.  Measured for the whole
-# subcommand on a 2-core VM: 0.17-0.27 s at 10^5, 0.35-0.5 s (21 MB) at 2 * 10^5.
+# ints (0.03 s and 1.5 MB at n = 2 * 10^5).  `foursquares r4` also reads the
+# kernel's theta^2 (forms.theta2, kept up to _KEPT_LIMIT; about n^1.6, Karatsuba
+# on packed ints), which sets its cost, and one dot product.  Whole subcommand,
+# 2-core VM: 0.17-0.27 s at 10^5, 0.35-0.5 s (21 MB) at 2 * 10^5.
 R4_MAX_N = 200_000
 
 # Tables up to the largest analytic asks for under its _MAX_TERMS (sizes
 # double from 256 while <= 20,000) are kept; larger ones are built, not kept.
 _KEPT_LIMIT = 16_384
-_kept: dict[str, tuple[int, ...]] = {}
+# phi's pair is kept through the CLI's --order ceiling (5.1 MiB there): its den
+# has about 4.3 bits per term, so analytic's larger tables are built, not kept.
+_PHI_KEPT_LIMIT = 3000
+_kept: dict[str, tuple] = {}
 
 
 def _kept_prefix(kind: str, limit: int, build) -> list[int]:
     """build(limit) as a fresh list, sliced from the kept tuple of its kind; a
-    larger build replaces that tuple whole, so threads need no lock."""
+    larger build replaces that tuple whole, so threads need no lock.  Above
+    _KEPT_LIMIT, build's own value, not kept."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     table = _kept.get(kind, ())
@@ -118,20 +124,35 @@ def partitions_table(limit: int) -> list[int]:
     return _kept_prefix("partitions", limit, lambda n: euler_quotient([1] + [0] * n))
 
 
+def psi_table(limit: int) -> list[int]:
+    """[psi_0, ..., psi_limit]: P(q)^2, the partitions divided once more by prod (1-q^n)."""
+    return _kept_prefix("psi", limit, lambda n: euler_quotient(partitions_table(n)))
+
+
 def phi_by_reduction(limit: int) -> tuple[list[int], int]:
     """(num, den), phi_n = num[n] / den for n <= limit: e = prod (1-q^n)^4 is
     Euler's E times Jacobi's E^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) (Hardy-Wright,
     Thm 357), and the e_n / (6n+1) over their least denominator are divided
-    twice by E (see forms.phi_by_reduction_of_order)."""
+    twice by E (see forms.phi_by_reduction_of_order).  Below the kept pair's
+    limit, den still comes from e, and it divides the kept den exactly."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    kept_num, kept_den = _kept.get("phi", ((), 1))
+    if limit + 1 == len(kept_num):
+        return list(kept_num), kept_den
     cube = [(k * (k + 1) // 2, -2 * k - 1 if k & 1 else 2 * k + 1) for k in range(isqrt(2 * limit) + 1)]
     e = [0] * (limit + 1)
     for (g, sign), (t, c) in product([(0, 1), *pentagonal(limit)], cube):
         if g + t <= limit:
             e[g + t] += sign * c
     den = lcm(*((6 * n + 1) // gcd(c, 6 * n + 1) for n, c in enumerate(e)))
-    return euler_quotient(euler_quotient([c * den // (6 * n + 1) for n, c in enumerate(e)])), den
+    if limit < len(kept_num):
+        scale = kept_den // den
+        return [c // scale for c in kept_num[:limit + 1]], den
+    num = euler_quotient(euler_quotient([c * den // (6 * n + 1) for n, c in enumerate(e)]))
+    if limit <= _PHI_KEPT_LIMIT:
+        _kept["phi"] = (tuple(num), den)
+    return num, den
 
 
 def r4_bruteforce(n: int) -> int:

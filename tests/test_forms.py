@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foursquares import cli, forms
+from foursquares import cli, forms, numtheory
 from foursquares.forms import (
     partition_series,
     phi_by_recursion,
@@ -17,6 +17,7 @@ from foursquares.forms import (
     series_L,
     series_M,
     theta,
+    theta2,
     theta4,
     verify_final_proportionality,
     verify_full_jacobi,
@@ -68,6 +69,18 @@ class TestTheta:
         t4 = theta4(120)
         for n in range(121):
             assert t4[n] == r4_bruteforce(n)
+
+    @pytest.mark.parametrize("ceiling", [numtheory._KEPT_LIMIT, 60])
+    def test_kept_powers_are_the_kernel_powers(self, ceiling, monkeypatch):
+        # theta2 and theta4 are kept per process; the kernel's powers of theta
+        # are the oracle, in any request order, at 0 and above the ceiling
+        monkeypatch.setattr(numtheory, "_kept", {})
+        monkeypatch.setattr(numtheory, "_KEPT_LIMIT", ceiling)
+        for n in (50, 0, 200, 61, 60, 7, 200, 1):
+            assert theta2(n) == theta(n) ** 2
+            assert theta4(n) == theta(n) ** 4
+            assert theta4(n) == theta2(n) * theta2(n)
+        assert len(numtheory._kept["theta4"]) == (201 if ceiling > 200 else 61)
 
 
 class TestEisensteinLikeSeries:
@@ -138,6 +151,19 @@ class TestPsiPhi:
                         theta, series_L, series_M, psi_by_exp):
             with pytest.raises(ValueError, match="order must be >= 0"):
                 builder(-1)
+
+    @pytest.mark.parametrize("builder, name", [(theta2, None), (theta4, "theta4"),
+                                               (psi_by_partition_square, "psi"),
+                                               (phi_by_reduction_of_order, "phi")])
+    def test_negative_order_message_comes_before_the_keep(self, builder, name, capsys):
+        # the keep's own "limit must be >= 0" never reaches a caller of forms
+        for _ in range(2):  # cold, then with the kind kept
+            with pytest.raises(ValueError, match="^order must be >= 0$"):
+                builder(-1)
+            builder(5)
+        if name is not None:  # `expand` prints the same text
+            assert cli.run(["expand", name, "--order", "-1"]) == 2
+            assert capsys.readouterr().err == "error: order must be >= 0\n"
 
     def test_psi_triple_reports_phi_mismatch(self, monkeypatch):
         real = forms.phi_by_reduction_of_order

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foursquares import analytic, numtheory
+from foursquares import analytic, cli, forms, numtheory
 from foursquares.numtheory import (
     R4_MAX_N,
     divisors,
@@ -21,6 +21,7 @@ from foursquares.numtheory import (
     partitions_table,
     pentagonal,
     phi_by_reduction,
+    psi_table,
     r4_bruteforce,
     sigma,
     sigma3,
@@ -331,20 +332,68 @@ class TestJacobiCount:
             assert jacobi_count(n) == 8 * (sig[n] - (0 if n % 4 else 4 * sig[n // 4]))
 
 
+def fresh_phi(limit):
+    """phi_by_reduction(limit) built with nothing kept before or after."""
+    kept, numtheory._kept = numtheory._kept, {}
+    try:
+        return phi_by_reduction(limit)
+    finally:
+        numtheory._kept = kept
+
+
 class TestKeptTables:
-    """sigma_table, sigma3_table and partitions_table slice one tuple kept per
-    kind; every answer must be the one a fresh build gives."""
+    """sigma_table, sigma3_table, partitions_table and psi_table slice one
+    tuple kept per kind, and phi_by_reduction keeps one (num, den) pair;
+    every answer must be the one a fresh build gives."""
 
     TABLES = {
         "sigma": (sigma_table, lambda n: divisor_power_sieve(n, 1)),
         "sigma3": (sigma3_table, lambda n: divisor_power_sieve(n, 3)),
         "partitions": (partitions_table, partitions_by_pentagonal_loop),
+        # the sigma recursion: no psi_table on its route
+        "psi": (psi_table, lambda n: list(forms.psi_by_recursion(n).coeffs)),
     }
     REFERENCE = {kind: ref(3000) for kind, (_, ref) in TABLES.items()}
+    PHI_LIMITS = (0, 1, 2, 10, 299, 300, 301, 1200)
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
+        # every kind, phi's pair too, lives in the one dict
         monkeypatch.setattr(numtheory, "_kept", {})
+
+    @pytest.fixture(scope="class")
+    def phi_reference(self):
+        return {limit: fresh_phi(limit) for limit in self.PHI_LIMITS}
+
+    @pytest.mark.parametrize("limits", [(0, 10, 300, 1200), (1200, 300, 10, 0),
+                                        (300, 10, 1200, 0, 299, 301, 1, 2, 301)])
+    def test_phi_any_request_order(self, limits, phi_reference):
+        for limit in limits:
+            num, den = phi_by_reduction(limit)
+            assert type(num) is list
+            # the same pair, not just the same rationals: den is the least over n <= limit
+            assert (num, den) == phi_reference[limit]
+        assert len(numtheory._kept["phi"][0]) == max(limits) + 1
+
+    def test_phi_mutating_a_result_changes_no_later_one(self, phi_reference):
+        for limit in (300, 300, 10, 300):  # built, read whole, read below, read whole
+            num, den = phi_by_reduction(limit)
+            assert (num, den) == phi_reference[limit]
+            num[3] += 1
+            num[-1] = 0
+
+    def test_phi_above_the_ceiling_is_built_but_not_kept(self, phi_reference, monkeypatch):
+        monkeypatch.setattr(numtheory, "_PHI_KEPT_LIMIT", 299)
+        phi_by_reduction(10)
+        kept = numtheory._kept["phi"]
+        assert phi_by_reduction(300) == phi_reference[300]
+        assert phi_by_reduction(1200) == phi_reference[1200]
+        assert numtheory._kept["phi"] is kept
+        assert phi_by_reduction(299) == phi_reference[299]
+        assert len(numtheory._kept["phi"][0]) == 300
+
+    def test_phi_ceiling_is_the_cli_order_ceiling(self):
+        assert numtheory._PHI_KEPT_LIMIT == cli.MAX_ORDER
 
     @pytest.mark.parametrize("kind", TABLES)
     @pytest.mark.parametrize("limits", [(0, 10, 500, 3000), (3000, 500, 10, 0),
@@ -390,18 +439,23 @@ class TestKeptTables:
         sizes = [256 * 2**k for k in range(10) if 256 * 2**k <= analytic._MAX_TERMS]
         assert numtheory._KEPT_LIMIT == max(sizes)
 
-    def test_threads_racing_on_cold_tables(self):
-        kinds = list(self.TABLES)
+    def test_threads_racing_on_cold_tables(self, phi_reference):
+        kinds = [*self.TABLES, "phi"]
         failures, deadline = [], time.monotonic() + 2.0
 
         def worker(seed):
             rng = random.Random(seed)
             while time.monotonic() < deadline:
                 kind = rng.choice(kinds)
-                limit = rng.randint(0, 3000)
                 if rng.random() < 0.05:
                     numtheory._kept = {}  # start every kind cold again
-                if self.TABLES[kind][0](limit) != self.REFERENCE[kind][:limit + 1]:
+                if kind == "phi":  # a num read with another build's den would differ
+                    limit = rng.choice(self.PHI_LIMITS)
+                    ok = phi_by_reduction(limit) == phi_reference[limit]
+                else:
+                    limit = rng.randint(0, 3000)
+                    ok = self.TABLES[kind][0](limit) == self.REFERENCE[kind][:limit + 1]
+                if not ok:
                     failures.append((kind, limit))
 
         old = sys.getswitchinterval()
