@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .numtheory import (
     _kept_prefix,
+    _phi_kept_with,
     partitions_table,
-    phi_by_reduction,
     psi_table,
     sigma,
     sigma3_table,
@@ -134,11 +134,11 @@ def phi_by_reduction_of_order(order: int) -> QSeries:
 
     Reduction of order: h = g * integral of 1/g^2, and 1/g^2 = eta^4 =
     q^(1/6) prod (1-q^n)^4, so integrating term by term in tau divides
-    e_n by n + 1/6.  The ints come from :func:`numtheory.phi_by_reduction`.
-    """
+    e_n by n + 1/6.  The ints come from :func:`numtheory.phi_by_reduction`,
+    which keeps the series of its kept pair: its Fractions are built once."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return QSeries._of(*phi_by_reduction(order))
+    return _phi_kept_with(order, QSeries._of)
 
 
 # ----------------------------------------------------------------- verifiers

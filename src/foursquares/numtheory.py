@@ -11,7 +11,7 @@ function of the arguments.  _kept holds, per process, each kind's largest
 build as one immutable value that a larger build replaces whole, so callers
 may fan out over n with no coordination: the sigma, sigma3, partition and psi
 tables here and forms' theta2 and theta4 up to _KEPT_LIMIT, and phi's
-(num, den) pair up to _PHI_KEPT_LIMIT.
+(num, den) pair, with forms' series of it, up to _PHI_KEPT_LIMIT.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ R4_MAX_N = 200_000
 # Tables up to the largest analytic asks for under its _MAX_TERMS (sizes
 # double from 256 while <= 20,000) are kept; larger ones are built, not kept.
 _KEPT_LIMIT = 16_384
-# phi's pair is kept through the CLI's --order ceiling (5.1 MiB there): its den
-# has about 4.3 bits per term, so analytic's larger tables are built, not kept.
+# phi is kept through the CLI's --order ceiling (5.1 MiB, and 5.3 more once its
+# series' Fractions are read): den has 4.3 bits a term, so analytic's larger
+# tables are built, not kept.
 _PHI_KEPT_LIMIT = 3000
 _kept: dict[str, tuple] = {}
 
@@ -133,11 +134,12 @@ def phi_by_reduction(limit: int) -> tuple[list[int], int]:
     """(num, den), phi_n = num[n] / den for n <= limit: e = prod (1-q^n)^4 is
     Euler's E times Jacobi's E^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) (Hardy-Wright,
     Thm 357), and the e_n / (6n+1) over their least denominator are divided
-    twice by E (see forms.phi_by_reduction_of_order).  Below the kept pair's
+    twice by E (see forms.phi_by_reduction_of_order).  The keep is (num, den,
+    made), made what _phi_kept_with made of the pair or None.  Below its
     limit, den still comes from e, and it divides the kept den exactly."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    kept_num, kept_den = _kept.get("phi", ((), 1))
+    kept_num, kept_den, _ = _kept.get("phi", ((), 1, None))
     if limit + 1 == len(kept_num):
         return list(kept_num), kept_den
     cube = [(k * (k + 1) // 2, -2 * k - 1 if k & 1 else 2 * k + 1) for k in range(isqrt(2 * limit) + 1)]
@@ -151,8 +153,20 @@ def phi_by_reduction(limit: int) -> tuple[list[int], int]:
         return [c // scale for c in kept_num[:limit + 1]], den
     num = euler_quotient(euler_quotient([c * den // (6 * n + 1) for n, c in enumerate(e)]))
     if limit <= _PHI_KEPT_LIMIT:
-        _kept["phi"] = (tuple(num), den)
+        _kept["phi"] = (tuple(num), den, None)
     return num, den
+
+
+def _phi_kept_with(limit: int, make):
+    """make(*phi_by_reduction(limit)), kept beside phi's pair while that pair
+    is the one at limit and handed out again, so it is made once per process."""
+    num, _, made = _kept.get("phi", ((), 1, None))
+    if len(num) != limit + 1 or made is None:
+        made = make(*phi_by_reduction(limit))
+        num, den, _ = _kept.get("phi", ((), 1, None))
+        if len(num) == limit + 1:
+            _kept["phi"] = (num, den, made)
+    return made
 
 
 def r4_bruteforce(n: int) -> int:

@@ -5,8 +5,9 @@ represents a series known modulo q^(N+1), as int numerators over one
 positive common denominator in lowest terms (the layout of FLINT's
 fmpq_poly).  That is the one stored form: every operation is exact and
 runs on ints, and a coefficient reads back as an int when the denominator is
-1, else as a Fraction built when it is read.  Values are immutable and all
-operations are pure functions, safe to share across threads.
+1, else as a Fraction.  The tuple of Fractions is built on the first read of
+`coeffs` and kept with the series.  Values are immutable and all operations
+are pure functions, safe to share across threads.
 
 Arithmetic on two series of orders N1, N2 truncates to min(N1, N2): each
 factor is known only through its own order, as in fmpq_poly's truncated
@@ -26,9 +27,10 @@ Scalar = int | Fraction
 
 class QSeries:
     """A dense truncated power series sum_{n=0}^{order} c_n q^n, held as
-    c_n = _num[n] / _den with _den > 0 and gcd(_den, *_num) == 1."""
+    c_n = _num[n] / _den with _den > 0 and gcd(_den, *_num) == 1; _view is
+    None until `coeffs` first builds its Fractions."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_view")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         cs = list(coeffs)
@@ -42,7 +44,7 @@ class QSeries:
             cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self._den = 1
+        self._den, self._view = 1, None
         if exact_ints:
             self._num = tuple(cs)
         else:
@@ -60,7 +62,7 @@ class QSeries:
             if g != 1:
                 num, den = [c // g for c in num], den // g
         series = cls.__new__(cls)
-        series._num, series._den = tuple(num), den
+        series._num, series._den, series._view = tuple(num), den, None
         return series
 
     @property
@@ -69,10 +71,13 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        """Ints when the denominator is 1, else a fresh tuple of Fractions."""
+        """Ints when the denominator is 1, else Fractions, built on the first
+        read and kept with the series (racing threads build equal tuples)."""
         if self._den == 1:
             return self._num
-        return tuple(Fraction(c, self._den) for c in self._num)
+        if self._view is None:
+            self._view = tuple(Fraction(c, self._den) for c in self._num)
+        return self._view
 
     @property
     def stored(self) -> tuple[tuple[int, ...], int]:  # (_num, _den), read-only

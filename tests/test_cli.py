@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foursquares
-from foursquares import cli, forms, modgroup
+from foursquares import cli, forms, modgroup, numtheory
 from foursquares.cli import ANALYTIC_CHECKS, MAX_ORDER, run
 from foursquares.numtheory import R4_MAX_N
 from foursquares.qseries import format_golden
@@ -628,6 +628,27 @@ def test_subcommands_load_only_the_modules_they_run(argvs, absent):
     # together the cases run every row of the command table
     assert {argv[0] for case, _ in _LOAD_CASES for argv in case} == set(cli._COMMANDS)
     assert _fresh_python(_IMPORT_PROBE.format(argv=argvs, names=absent)) == "[]"
+
+
+# The pinned argvs reach phi only at orders 0, 1, 37, 60 and 3001; these are
+# the orders the benchmark's exact round asks for.
+_PHI_ARGVS = [[*argv, *fmt] for argv in (["expand", "phi", "--order", "300"],
+                                         ["expand", "phi", "--order", "100"],
+                                         ["verify", "psi-triple", "--order", "100"])
+              for fmt in ([], ["--format", "json"])]
+
+
+@pytest.mark.parametrize("order", [range(6), range(5, -1, -1), (2, 0, 5, 3, 1, 4, 2, 5)])
+def test_kept_phi_prints_the_bytes_of_a_cold_run(order, monkeypatch):
+    # phi's kept pair and its series (with its Fractions) are met warm in
+    # one process; each argv must print what it prints cold
+    monkeypatch.setattr(numtheory, "_kept", {})
+    for i in order:
+        warm = invoke(_PHI_ARGVS[i])
+        saved, numtheory._kept = numtheory._kept, {}
+        cold = invoke(_PHI_ARGVS[i])
+        numtheory._kept = saved
+        assert warm == cold and warm[0] == 0, _PHI_ARGVS[i]
 
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"

@@ -205,6 +205,83 @@ class TestPsiPhi:
         assert psi_by_recursion(order) == _psi_oracle(order)
 
 
+def fresh_phi_series(order):
+    """phi_by_reduction_of_order(order) built with nothing kept before or after."""
+    kept, numtheory._kept = numtheory._kept, {}
+    try:
+        return phi_by_reduction_of_order(order)
+    finally:
+        numtheory._kept = kept
+
+
+class TestPhiKeep:
+    """phi_by_reduction_of_order keeps the series of numtheory's kept pair,
+    with the Fractions its coeffs built; every answer must be the series a
+    fresh build gives."""
+
+    ORDERS = (0, 1, 2, 10, 99, 100, 299, 300, 301, 600)
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_kept", {})
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        # each series with its Fractions built from its own stored form
+        ref = {}
+        for order in self.ORDERS:
+            series = fresh_phi_series(order)
+            num, den = series.stored
+            ref[order] = series, tuple(Fraction(c, den) for c in num)
+        return ref
+
+    @pytest.mark.parametrize("read_view", [False, True])
+    @pytest.mark.parametrize("orders", [(0, 1, 10, 100, 300, 600), (600, 300, 100, 10, 1, 0),
+                                        (300, 10, 600, 0, 299, 301, 2, 99, 301, 100)])
+    def test_any_request_order(self, orders, read_view, reference):
+        got = []
+        for order in orders:
+            series = phi_by_reduction_of_order(order)
+            if read_view:
+                assert series.coeffs == reference[order][1]
+            assert series == reference[order][0]
+            assert series.stored == reference[order][0].stored
+            got.append((order, series))
+        for order, series in got:
+            assert series.coeffs == reference[order][1]
+        assert numtheory._kept["phi"][2].order == max(orders)
+
+    def test_the_kept_order_hands_back_the_same_series(self, reference):
+        kept = phi_by_reduction_of_order(300)
+        assert kept._view is None  # built on the first read, not before
+        view = kept.coeffs
+        assert phi_by_reduction_of_order(300) is kept and kept.coeffs is view
+        smaller = phi_by_reduction_of_order(100)
+        assert smaller._view is None  # a smaller order builds its own
+        assert smaller.coeffs == reference[100][1]
+        assert smaller.stored == reference[100][0].stored
+        assert phi_by_reduction_of_order(300) is kept
+        assert numtheory._kept["phi"][2] is kept
+
+    def test_only_the_kept_pair_has_its_series_kept(self, reference):
+        numtheory.phi_by_reduction(600)
+        series = phi_by_reduction_of_order(300)
+        assert series == reference[300][0]
+        assert phi_by_reduction_of_order(300) is not series
+        assert numtheory._kept["phi"][2] is None
+        assert phi_by_reduction_of_order(600) is phi_by_reduction_of_order(600)
+
+    def test_above_the_ceiling_is_built_but_not_kept(self, reference, monkeypatch):
+        monkeypatch.setattr(numtheory, "_PHI_KEPT_LIMIT", 299)
+        kept = phi_by_reduction_of_order(10)
+        for order in (300, 600):
+            series = phi_by_reduction_of_order(order)
+            assert series == reference[order][0] and series.coeffs == reference[order][1]
+            assert phi_by_reduction_of_order(order) is not series
+        assert numtheory._kept["phi"][2] is kept
+        assert phi_by_reduction_of_order(299) is numtheory._kept["phi"][2]
+
+
 class TestVerifiers:
     @pytest.mark.parametrize("verifier", [
         verify_ramanujan_ode, verify_jacobi, verify_lagrange, verify_full_jacobi,

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -354,7 +355,7 @@ class TestKeptTables:
         "psi": (psi_table, lambda n: list(forms.psi_by_recursion(n).coeffs)),
     }
     REFERENCE = {kind: ref(3000) for kind, (_, ref) in TABLES.items()}
-    PHI_LIMITS = (0, 1, 2, 10, 299, 300, 301, 1200)
+    PHI_LIMITS = (0, 1, 2, 10, 100, 299, 300, 301, 1200)
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
@@ -391,6 +392,52 @@ class TestKeptTables:
         assert numtheory._kept["phi"] is kept
         assert phi_by_reduction(299) == phi_reference[299]
         assert len(numtheory._kept["phi"][0]) == 300
+
+    def test_phi_at_the_kept_order_rebuilds_nothing(self, phi_reference, monkeypatch):
+        # the kept pair, and the series made of it, are handed out again
+        phi_by_reduction(300)
+
+        def refuse(*args):
+            raise AssertionError("phi at the kept order was rebuilt")
+
+        monkeypatch.setattr(numtheory, "pentagonal", refuse)
+        monkeypatch.setattr(numtheory, "lcm", refuse)
+        assert phi_by_reduction(300) == phi_reference[300]
+        series = forms.phi_by_reduction_of_order(300)
+        assert series.stored == (tuple(phi_reference[300][0]), phi_reference[300][1])
+        assert forms.phi_by_reduction_of_order(300) is series
+
+    def test_phi_is_kept_as_one_tuple_in_one_statement(self, phi_reference, monkeypatch):
+        # a num, den or series stored apart from the others could be read
+        # with another build's: every store under "phi" is one whole tuple
+        stores = []
+
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                stores.append((key, value))
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(numtheory, "_kept", Recording())
+        largest = -1
+        for limit in (10, 300, 100, 0, 300, 301, 1200, 299):
+            del stores[:]
+            assert phi_by_reduction(limit) == phi_reference[limit]
+            if limit <= largest:
+                assert stores == []
+                continue
+            largest = limit
+            assert [key for key, _ in stores] == ["phi"]
+            num, den, made = stores[0][1]
+            assert type(num) is tuple and made is None
+            assert (list(num), den) == phi_reference[limit]
+        del stores[:]
+        series = forms.phi_by_reduction_of_order(1200)  # the kept pair's order
+        [(key, (num, den, made))] = stores
+        assert key == "phi" and made is series and (list(num), den) == phi_reference[1200]
+        for limit in (1200, 100):  # handed out again, or built and not kept
+            del stores[:]
+            forms.phi_by_reduction_of_order(limit)
+            assert stores == []
 
     def test_phi_ceiling_is_the_cli_order_ceiling(self):
         assert numtheory._PHI_KEPT_LIMIT == cli.MAX_ORDER
@@ -440,7 +487,9 @@ class TestKeptTables:
         assert numtheory._KEPT_LIMIT == max(sizes)
 
     def test_threads_racing_on_cold_tables(self, phi_reference):
-        kinds = [*self.TABLES, "phi"]
+        kinds = [*self.TABLES, "phi", "phi_series"]
+        phi_fractions = {limit: tuple(Fraction(c, den) for c in num)
+                         for limit, (num, den) in phi_reference.items()}
         failures, deadline = [], time.monotonic() + 2.0
 
         def worker(seed):
@@ -452,6 +501,9 @@ class TestKeptTables:
                 if kind == "phi":  # a num read with another build's den would differ
                     limit = rng.choice(self.PHI_LIMITS)
                     ok = phi_by_reduction(limit) == phi_reference[limit]
+                elif kind == "phi_series":  # and the kept series' Fractions
+                    limit = rng.choice(self.PHI_LIMITS)
+                    ok = forms.phi_by_reduction_of_order(limit).coeffs == phi_fractions[limit]
                 else:
                     limit = rng.randint(0, 3000)
                     ok = self.TABLES[kind][0](limit) == self.REFERENCE[kind][:limit + 1]

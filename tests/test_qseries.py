@@ -606,3 +606,48 @@ class TestRepresentation:
         assert a.truncated(3) == QSeries([1, Fraction(1, 3), 0, 0])
         with pytest.raises(ValueError, match="order must be >= 0"):
             a.truncated(-1)
+
+    def test_fraction_view_is_built_once_and_kept(self):
+        s = QSeries([1, Fraction(1, 3), Fraction(-5, 6), 2, Fraction(7, 4)])
+        num, den = s.stored
+        view = s.coeffs
+        assert s.coeffs is view
+        assert view == tuple(Fraction(c, den) for c in num)
+        assert all(type(c) is Fraction for c in view)
+
+    def test_derived_series_never_inherit_the_view(self):
+        s = QSeries([1, Fraction(1, 3), Fraction(-5, 6), 2, Fraction(7, 4)])
+        t = QSeries([Fraction(2, 5), 1, 0, Fraction(-1, 9), 3])
+        fractions = s.coeffs
+        derived = {
+            "neg": (-s, [-c for c in fractions]),
+            "add": (s + t, [x + y for x, y in zip(fractions, t.coeffs)]),
+            "sub": (s - t, [x - y for x, y in zip(fractions, t.coeffs)]),
+            "mul": (s * t, [sum(fractions[k] * t[n - k] for k in range(n + 1)) for n in range(5)]),
+            "scale": (s * Fraction(3, 2), [Fraction(3, 2) * c for c in fractions]),
+            "truncated": (s.truncated(3), list(fractions[:4])),
+            "padded": (s.truncated(6), [*fractions, 0, 0]),
+            "qderiv": (qderiv(s), [n * c for n, c in enumerate(fractions)]),
+            "substitute_neg": (substitute_neg(s), [-c if n & 1 else c for n, c in enumerate(fractions)]),
+        }
+        for name, (got, want) in derived.items():
+            assert got._view is None, name
+            assert list(got.coeffs) == want, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(kernel_coeffs, min_size=1, max_size=12))
+    def test_view_changes_no_equality_hash_or_repr(self, cs):
+        cold, warm = QSeries(cs), QSeries(cs)
+        text = repr(warm)  # builds warm's view, when its den is not 1
+        assert cold._view is None
+        assert cold == warm and warm == cold and hash(cold) == hash(warm)
+        assert repr(cold) == text
+        assert eval(text) == cold and hash(eval(text)) == hash(warm)
+
+    @pytest.mark.parametrize("make", [lambda: QSeries([1, 2, -3]), lambda: QSeries._of([4, 0, 5]),
+                                      lambda: QSeries([Fraction(4, 2), Fraction(6, 3)])])
+    def test_integer_series_hand_back_their_ints(self, make):
+        s = make()
+        assert s.coeffs is s._num and s.coeffs is s.coeffs
+        assert all(type(c) is int for c in s.coeffs)
+        assert s._view is None
