@@ -27,7 +27,7 @@ DEFAULT_TAU = complex(0.3, 1.1)
 # The level-4 invariance check needs im(A tau) >= 0.05 for its default
 # matrix U, which the shared default tau misses; this point clears it.
 XI_DEFAULT_TAU = complex(0.1, 0.5)
-POISSON_POINTS = (0.1, 0.5, 1.0, 2.0)
+POISSON_POINTS = (0.1, 0.3, 1.0, 2.0)
 
 # Every display name the subcommands take, with the name of the function
 # that serves it.  Functions are looked up at call time, so a rebound module
@@ -71,10 +71,10 @@ _ANALYTIC = {
 }
 ANALYTIC_CHECKS = tuple(_ANALYTIC)
 
-# Ceiling on expand/verify --order.  At 3000 a whole run takes 5.2-5.6 s for
-# `verify psi-triple`, 1.5-1.7 s for `expand phi` and 0.05-0.09 s for every
-# other name (2-core Xeon VM, Python 3.11.7).  Near 3250, phi's coefficients
-# pass Python's 4300-digit limit on int-to-text conversion.
+# Ceiling on expand/verify --order.  At 3000 a whole run takes 6.3-11.9 s for
+# `verify psi-triple`, 1.7-2.6 s for `expand phi` and 0.05-0.09 s for every
+# other name (2-core Xeon VM under varying load, Python 3.11.7).  Near 3250,
+# phi's coefficients pass Python's 4300-digit limit on int-to-text conversion.
 MAX_ORDER = 3000
 
 # argparse takes only plain negative numbers as positionals or option values;

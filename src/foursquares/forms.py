@@ -89,10 +89,11 @@ def psi_by_recursion(order: int) -> QSeries:
     The coefficients are provably integers; a non-integral value would
     falsify that, so it raises rather than warns.
     """
-    b = recurrence(QSeries._of(sigma_table(order)), lambda n: Fraction(2, n), order)
-    for n, bn in enumerate(b.coeffs):
-        if bn.denominator != 1:
-            raise ArithmeticError(f"b_{n} = {bn} is not an integer")
+    b = recurrence(QSeries._of(sigma_table(order)), lambda n: (2, n), order)
+    num, den = b.stored  # in lowest terms: integral exactly when den is 1
+    if den != 1:
+        n = next(n for n, c in enumerate(num) if c % den)
+        raise ArithmeticError(f"b_{n} = {b[n]} is not an integer")
     return b
 
 
@@ -103,17 +104,17 @@ def psi_by_sigma3_recursion(order: int) -> QSeries:
     the Ramanujan differential identity.
     """
     return recurrence(QSeries._of(sigma3_table(order)),
-                      lambda n: Fraction(10, n * (6 * n - 1)), order)
+                      lambda n: (10, n * (6 * n - 1)), order)
 
 
 def psi_by_exp(order: int) -> QSeries:
-    """psi as exp(2 * sum sigma(n)/n q^n).  exp0 solves its q d/dq equation by
+    """psi as exp(2 * sum sigma(n)/n q^n), its argument as ints over
+    lcm(1 .. order).  exp0 solves its q d/dq equation by
     :func:`psi_by_recursion`'s recurrence, so this is that route, not a third."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    sig = sigma_table(order)
-    arg = QSeries([0] + [Fraction(2 * sig[n], n) for n in range(1, order + 1)])
-    return exp0(arg)
+    sig, den = sigma_table(order), math.lcm(*range(1, order + 1))
+    return exp0(QSeries._of([0] + [2 * sig[n] * (den // n) for n in range(1, order + 1)], den))
 
 
 def psi_by_partition_square(order: int) -> QSeries:
@@ -126,7 +127,7 @@ def psi_by_partition_square(order: int) -> QSeries:
 def phi_by_recursion(order: int) -> QSeries:
     """phi from a_0 = 1, a_n = 10/(n(6n+1)) sum sigma3(k) a_{n-k}; exact rationals."""
     return recurrence(QSeries._of(sigma3_table(order)),
-                      lambda n: Fraction(10, n * (6 * n + 1)), order)
+                      lambda n: (10, n * (6 * n + 1)), order)
 
 
 def phi_by_reduction_of_order(order: int) -> QSeries:

@@ -117,14 +117,18 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
+        if self._den == other._den:  # one denominator: the sum runs in C through map
+            return QSeries._of(tuple(map(operator.add, self._num, other._num)), self._den)
         den = math.lcm(self._den, other._den)
         fa, fb = den // self._den, den // other._den
         return QSeries._of([x * fa + y * fb for x, y in zip(self._num, other._num)], den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries._of([-c for c in self._num], self._den)
+        return QSeries._of(tuple(map(operator.neg, self._num)), self._den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
+        if isinstance(other, QSeries) and self._den == other._den:
+            return QSeries._of(tuple(map(operator.sub, self._num, other._num)), self._den)
         return self + -other if isinstance(other, QSeries) else NotImplemented
 
     def __mul__(self, other: "QSeries | Scalar") -> "QSeries":
@@ -159,6 +163,19 @@ class QSeries:
 # first (C orders the sizes of b, h, i, l, q).  'i' and 'l' vary in size by
 # platform, so sizes, not letters, pick the slot codec.
 _SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+# Byte b's sign extension: 0xff when its top bit is set, else 0.
+_SIGN = bytes(255 if b & 0x80 else 0 for b in range(256))
+
+
+def _restride(data: bytes, old: int, new: int) -> bytes:
+    """Slots of `old` bytes as slots of `new` bytes, one extended slice copy per
+    byte: low bytes are kept, and added top bytes extend the old top byte's sign."""
+    if old == new:
+        return data
+    out, top = bytearray(len(data) // old * new), data[old - 1 :: old].translate(_SIGN)
+    for j in range(new):
+        out[j::new] = data[j::old] if j < old else top
+    return out
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -169,14 +186,15 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     square packs once).  Slots are signed: each holds the two's complement
     of its value.  By Cauchy-Schwarz, and as c_k is an int, every |c_k| is
     at most isqrt(sum a_i^2 * sum b_j^2), never above max|a| max|b| (n + 1);
-    that bound has fewer than 8w bits, so w leaves room for the sign bit
-    and nothing carries into the next slot.  XOR with H = 2^(8w-1)
+    w is the fewest bytes that hold that bound and a sign bit, so nothing
+    carries into the next slot.  XOR with H = 2^(8w-1)
     in every slot (Hs) maps a two's-complement x to x + H >= 0, so a packed
     factor is (bytes read as unsigned ^ Hs) - Hs, and the low n + 1 slots
-    of (product + Hs) ^ Hs are the c_k in two's complement.  Slots convert
-    to and from bytes in C through `array` when w rounds up to one of its
-    signed item sizes (1, 2, 4 or 8 bytes), else one int at a time (big
-    coefficients); both are linear, where a shift per slot is quadratic.
+    of (product + Hs) ^ Hs are the c_k in two's complement.  Up to 8 bytes,
+    slots convert to and from bytes in C through `array` at the next signed
+    item size (1, 2, 4 or 8 bytes), restrided to exactly w bytes by
+    `_restride`; wider slots (big coefficients) convert one int at a time.
+    Both are linear, where a shift per slot is quadratic.
     """
     square = b is a
     a = a[: n + 1]
@@ -187,25 +205,24 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         return [0] * (n + 1)
     bound = math.isqrt(norm_a * norm_b)
     width = (bound.bit_length() + 8) // 8
-    width, code = next(((size, c) for size, c in _SLOT_CODES.items() if size >= width),
-                       (width, ""))
-    high = b"\0" * (width - 1) + b"\x80"
+    size, code = next(((size, c) for size, c in _SLOT_CODES.items() if size >= width),
+                      (width, ""))
+    # H in each of the n + 1 slots (a factor's missing slots read 0, and 0 ^ H - H = 0)
+    hs = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (n + 1), "little")
 
     def pack(xs: Sequence[int]) -> int:
-        data = (array(code, xs).tobytes() if code
+        data = (_restride(array(code, xs).tobytes(), size, width) if code
                 else b"".join(x.to_bytes(width, "little", signed=True) for x in xs))
-        hs = int.from_bytes(high * len(xs), "little")
         return (int.from_bytes(data, "little") ^ hs) - hs
 
     packed = pack(a)
     product = packed * (packed if square else pack(b))
-    size = (n + 1) * width
-    hs = int.from_bytes(high * (n + 1), "little")
-    data = (((product + hs) & ((1 << 8 * size) - 1)) ^ hs).to_bytes(size, "little")
+    total = (n + 1) * width
+    data = (((product + hs) & ((1 << 8 * total) - 1)) ^ hs).to_bytes(total, "little")
     if code:
-        return array(code, data).tolist()
+        return array(code, _restride(data, width, size)).tolist()
     return [int.from_bytes(data[i : i + width], "little", signed=True)
-            for i in range(0, size, width)]
+            for i in range(0, total, width)]
 
 
 def qderiv(a: QSeries) -> QSeries:
@@ -216,23 +233,24 @@ def qderiv(a: QSeries) -> QSeries:
 def exp0(a: QSeries) -> QSeries:
     """Formal exponential of a series with constant term exactly 0.
 
-    Solves qderiv(e) = e*qderiv(a): n*e_n = sum_{k=1}^{n} k*a_k*e_{n-k}.
+    Solves qderiv(e) = e*qderiv(a): e_n = 1/n sum_{k=1}^{n} k*a_k*e_{n-k}, the weight (1, n).
     """
-    if a[0] != 0:
+    if a._num[0] != 0:
         raise ValueError("exp0 requires constant term exactly 0")
-    return recurrence(qderiv(a), lambda n: Fraction(1, n), a.order)
+    return recurrence(qderiv(a), lambda n: (1, n), a.order)
 
 
-def recurrence(s: QSeries, weight: Callable[[int], Scalar], order: int) -> QSeries:
+def recurrence(s: QSeries, weight: Callable[[int], tuple[int, int]], order: int) -> QSeries:
     """The exact series sum x_n q^n of order `order`, for x_0 = 1 and
-    x_n = weight(n) * sum_{k=1}^{n} s_k x_{n-k}; s_0 is never read.
+    x_n = p/q * sum_{k=1}^{n} s_k x_{n-k}, with weight(n) = (p, q) two ints,
+    q > 0, not necessarily in lowest terms; s_0 is never read.
 
     The work runs in ints: s_k = S_k/ds over the series' own denominator ds,
     and x_k = X_k/D over one running common denominator D, so each sum is
-    one dot product of ints.  Step n gives X_n = num/t, with t = ds times
-    the weight's denominator; when t does not divide num, D and the stored
-    X_k grow by t/gcd(num, t), the least factor that makes X_n an int.  So D
-    is the lcm of the values' denominators and (X, D) is in lowest terms.
+    one dot product of ints.  Step n gives X_n = num/t, with t = ds * q; when
+    t does not divide num, D and the stored X_k grow by t/gcd(num, t), the
+    least factor that makes X_n an int (a factor common to p and q cancels).
+    So D is the lcm of the values' denominators and (X, D) is in lowest terms.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -241,10 +259,10 @@ def recurrence(s: QSeries, weight: Callable[[int], Scalar], order: int) -> QSeri
     s_int, ds = s._num[1 : order + 1], s._den
     x, D = [1], 1
     for n in range(1, order + 1):
-        w = weight(n)
+        p, q = weight(n)
         # reversed(x) runs X_{n-1} .. X_0 against S_1 .. S_n; map stops at n terms
-        num = sum(map(operator.mul, reversed(x), s_int)) * w.numerator
-        t = ds * w.denominator
+        num = sum(map(operator.mul, reversed(x), s_int)) * p
+        t = ds * q
         g = math.gcd(num, t)
         if g != t:
             f = t // g

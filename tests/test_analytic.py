@@ -313,7 +313,7 @@ class TestPoisson:
     def test_self_dual_point(self):
         assert check_poisson(0.5).error == 0.0
 
-    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.5, 1.0, 2.0])
     def test_machine_precision(self, t):
         report = check_poisson(t)
         assert report.passed

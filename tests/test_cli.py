@@ -1,5 +1,6 @@
 """Command-line contract: output shapes, exit codes, text/json agreement."""
 
+import cmath
 import contextlib
 import importlib.util
 import io
@@ -135,6 +136,22 @@ class TestVerifyAnalytic:
         doc = json.loads(out)
         assert doc["pass"] is True
         assert len(doc["reports"]) == 4
+
+    def test_no_poisson_point_is_its_own_image(self):
+        # t = 1/(4t) compares theta(it) with itself: error 0 for any theta
+        assert all(1 / (4 * t) != t for t in cli.POISSON_POINTS)
+
+    def test_every_poisson_point_detects_a_changed_theta(self, monkeypatch):
+        from foursquares import analytic
+        real = analytic.theta_eval
+
+        def shifted(tau):  # theta + 1e-10 q
+            return real(tau) + 1e-10 * cmath.exp(2j * cmath.pi * tau)
+
+        monkeypatch.setattr(analytic, "theta_eval", shifted)
+        code, out, _ = invoke(["verify-analytic", "poisson", "--format", "json"])
+        assert code == 1
+        assert not any(r["pass"] for r in json.loads(out)["reports"])
 
     def test_theta_transform_default_point(self):
         code, out, _ = invoke(["verify-analytic", "theta-transform"])

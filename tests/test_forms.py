@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foursquares import cli, forms, numtheory
+from foursquares import cli, forms, numtheory, qseries
 from foursquares.forms import (
     partition_series,
     phi_by_recursion,
@@ -190,8 +190,29 @@ class TestPsiPhi:
         assert all(c.denominator == 1 for c in psi.coeffs)
 
     def test_psi_recurrence_stays_in_int(self):
-        b = recurrence(QSeries(sigma_table(200)), lambda n: Fraction(2, n), 200)
+        b = recurrence(QSeries(sigma_table(200)), lambda n: (2, n), 200)
         assert all(type(bn) is int for bn in b)
+        # the same weight as a pair not in lowest terms stores the same ints
+        assert b.stored == recurrence(QSeries(sigma_table(200)), lambda n: (6 * n, 3 * n * n),
+                                      200).stored == (b.stored[0], 1)
+
+    def test_psi_and_phi_routes_build_no_fraction(self, monkeypatch):
+        # every route verify psi-triple takes runs on ints: with Fraction
+        # replaced by a class that cannot be built (isinstance still works),
+        # each still gives the series it gives with the real Fraction
+        order = 100
+        routes = (psi_by_recursion, psi_by_sigma3_recursion, phi_by_recursion, psi_by_exp)
+        want = [route(order) for route in routes]
+
+        class NoFraction:
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(numtheory, "_kept", {})
+        monkeypatch.setattr(forms, "Fraction", NoFraction)
+        monkeypatch.setattr(qseries, "Fraction", NoFraction)
+        assert [route(order) for route in routes] == want
+        assert verify_psi_triple(order).passed
 
     def test_non_integral_psi_coefficient_raises(self, monkeypatch):
         # with sigma replaced by s_1 = 1, s_k = 0 the recursion gives 2^n/n!

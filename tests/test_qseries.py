@@ -190,25 +190,44 @@ def _boundary_pair(bits, above):
     """Signed factors whose product's slot bound 3m sits just below 2^bits
     (at 2^bits - 2 for odd bits) or just above it (2^bits + 1), and is
     reached by c_2 = 3m, next to c_1 = -2m: the bound sets the slot width,
-    so each side of 2^7, 2^15, 2^31 and 2^63 packs into another size."""
+    so for bits = 8w - 1 the two sides pack into w and w + 1 bytes."""
     m = (2**bits - 1) // 3 + above
     return QSeries([m, -m, m]), QSeries([1, -1, 1, 0])
 
 
-def _slot_sizes(a, b, n):
-    """The product `_convolve(a, b, n)` and the item sizes of the `array`
-    codes it packed and unpacked with (empty when the slots are wider than 8
-    bytes and go one int at a time)."""
-    real, codes = qseries.array, []
+def _packing(a, b, n):
+    """The product `_convolve(a, b, n)`, the item sizes of the `array` codes
+    it packed and unpacked with (empty when the slots are wider than 8 bytes
+    and go one int at a time), and the length of every bytes string it read
+    as an int."""
+    real, codes, lengths = qseries.array, [], []
 
     def spy(code, *args):
         codes.append(code)
         return real(code, *args)
 
+    class ReadSpy(int):  # stands in for `int` in qseries, to see int.from_bytes
+        @staticmethod
+        def from_bytes(data, *args, **kwargs):
+            lengths.append(len(data))
+            return int.from_bytes(data, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qseries, "array", spy)
+        mp.setattr(qseries, "int", ReadSpy, raising=False)
         product = qseries._convolve(a, b, n)
-    return product, {real(code).itemsize for code in codes}
+    return product, {real(code).itemsize for code in codes}, lengths
+
+
+def _assert_stride(lengths, n, width):
+    """Each packed factor and Hs spans n + 1 slots of exactly `width` bytes;
+    slots wider than 8 bytes are also read back one at a time."""
+    assert set(lengths) == {(n + 1) * width} | ({width} if width > 8 else set())
+
+
+def _item_size(width):
+    """The `array` item size a slot of `width` bytes packs through, or None."""
+    return min((size for size in qseries._SLOT_CODES if size >= width), default=None)
 
 
 def _max_product_slot_size(a, b):
@@ -216,7 +235,7 @@ def _max_product_slot_size(a, b):
     coefficients, rounded up to an `array` item size where one fits."""
     bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
     width = (bound.bit_length() + 8) // 8
-    return min((size for size in qseries._SLOT_CODES if size >= width), default=width)
+    return _item_size(width) or width
 
 
 @st.composite
@@ -229,6 +248,29 @@ def equal_length_factors(draw):
                     min_size=length, max_size=length)
     a = draw(ints)
     return a, a if draw(st.booleans()) else draw(ints)
+
+
+@st.composite
+def factors_of_width(draw):
+    """A slot width w of 1 to 9 bytes and two int lists of one length L <= 40
+    whose Cauchy-Schwarz bound needs exactly w bytes, that is, has 8w - 8 to
+    8w - 1 bits.  Entries are at most 2^ba and 2^bb in size, with a_0 =
+    +-2^ba and b_0 = +-2^bb, so the bound lies in [2^(ba+bb), L 2^(ba+bb)],
+    and ba + bb is 8w - 1 - bit_length(L), one less for a square (b is a
+    itself, when drawn) whose total is odd."""
+    width = draw(st.integers(min_value=1, max_value=9))
+    length = draw(st.integers(min_value=1, max_value=40))
+    total = 8 * width - 1 - length.bit_length()
+    square = draw(st.booleans())
+    ba = total // 2 if square else draw(st.integers(min_value=0, max_value=total))
+
+    def factor(bits):
+        rest = st.integers(min_value=-(2**bits), max_value=2**bits)
+        return [draw(st.sampled_from([2**bits, -(2**bits)]))] + draw(
+            st.lists(rest, min_size=length - 1, max_size=length - 1))
+
+    a = factor(ba)
+    return width, a, a if square else factor(total - ba)
 
 
 # the same object twice: a square packs its one factor once, in 1-byte
@@ -269,12 +311,14 @@ class TestMulKernel:
         # square of theta^2 by 2^15 at order 500, so 1- and 2-byte slots
         # hold them, where max|a| max|b| (n + 1) asked for 2 and 4 bytes
         t = theta(500)
-        got, sizes = _slot_sizes(t._num, theta(500)._num, 500)
+        got, sizes, lengths = _packing(t._num, theta(500)._num, 500)
         assert sizes == {1}
+        _assert_stride(lengths, 500, 1)
         t2 = QSeries(got)
         assert t2 == schoolbook_mul(t, t)
-        got, sizes = _slot_sizes(t2._num, t2._num, 500)
+        got, sizes, lengths = _packing(t2._num, t2._num, 500)
         assert sizes == {2}
+        _assert_stride(lengths, 500, 2)
         assert QSeries(got) == schoolbook_mul(t2, t2)
 
     @settings(max_examples=300, deadline=None)
@@ -285,21 +329,46 @@ class TestMulKernel:
     def test_slots_never_wider_than_the_max_product_bound(self, factors):
         a, b = factors
         n = len(a) - 1
-        got, sizes = _slot_sizes(a, b, n)
+        got, sizes, _ = _packing(a, b, n)
         assert got == bytes_split_convolve(a, b, n)
         if not any(a) or not any(b):
             assert sizes == set()
         else:
             assert len(sizes) == 1 and max(sizes) <= _max_product_slot_size(a, b)
 
-    @pytest.mark.parametrize("bits", [7, 15, 31, 63])
+    @pytest.mark.parametrize("bits", [7, 15, 23, 31, 39, 47, 55, 63])
     def test_boundary_pairs_straddle_a_slot_size(self, bits):
-        # c_2 = 3m = |a|_2 |b|_2: tight under Cauchy-Schwarz as under max*max*len
-        (a, b), (wider_a, wider_b) = _boundary_pair(bits, 0), _boundary_pair(bits, 1)
-        _, below = _slot_sizes(a._num, b._num, 2)
-        _, above = _slot_sizes(wider_a._num, wider_b._num, 2)
-        assert below == {(bits + 1) // 8}
-        assert above == ({(bits + 1) // 4} if bits < 63 else set())
+        # c_2 = 3m = |a|_2 |b|_2: tight under Cauchy-Schwarz as under
+        # max*max*len; below 2^bits the slots take exactly (bits + 1) / 8
+        # bytes, above it one more, whatever `array` item size packs them
+        width = (bits + 1) // 8
+        for above in (0, 1):
+            a, b = _boundary_pair(bits, above)
+            got, sizes, lengths = _packing(a._num, b._num, 2)
+            assert got == bytes_split_convolve(a._num, b._num, 2)
+            _assert_stride(lengths, 2, width + above)
+            assert sizes == ({_item_size(width + above)} if width + above <= 8 else set())
+        # -(2^bits - 1) is the most negative value the bound lets a slot of
+        # `width` bytes hold: top byte 0x80, so the unpack sign-extends it
+        # through _SIGN to the item size, as it does -1's 0xff bytes
+        m = 2**bits - 1
+        got, _, lengths = _packing([m, 1], [-1, 0], 1)
+        assert got == [-m, -1]
+        _assert_stride(lengths, 1, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(factors_of_width())
+    @example((3, [-(2**11), 2**11 - 1, -1], [2**10, -(2**10), 7]))
+    @example((5, [2**18, -(2**18), 1], None))
+    @example((9, [-(2**34), 2**34, -5], None))
+    def test_every_slot_width_matches_schoolbook(self, case):
+        width, a, b = case
+        b = a if b is None else b  # None in an example: a square
+        n = len(a) - 1
+        got, sizes, lengths = _packing(a, b, n)
+        assert QSeries(got) == schoolbook_mul(QSeries(a), QSeries(b))
+        _assert_stride(lengths, n, width)
+        assert sizes == ({_item_size(width)} if width <= 8 else set())
 
     def test_theta4_at_4000_matches_jacobi(self):
         t4 = theta4(4000)
@@ -321,14 +390,25 @@ def fraction_recurrence(s, weight, order):
     return x
 
 
-def _weight(kind, p, q, late):
-    """A weight family; "late" brings its denominators only from n = late on."""
-    return {
-        "int": lambda n: p,
-        "const": lambda n: Fraction(p, q),
-        "harmonic": lambda n: Fraction(p, n * q),
-        "late": lambda n: Fraction(p, n * q) if n >= late else p,
+def _weight(kind, p, q, late, k):
+    """A weight family as int pairs, each scaled by k so that a pair is in
+    lowest terms only when k = 1; "late" brings its denominators only from
+    n = late on."""
+    pair = {
+        "int": lambda n: (p, 1),
+        "const": lambda n: (p, q),
+        "harmonic": lambda n: (p, n * q),
+        "late": lambda n: (p, n * q) if n >= late else (p, 1),
     }[kind]
+    return lambda n: tuple(k * v for v in pair(n))
+
+
+def _lowest(weight):
+    """The same weight with each pair in lowest terms."""
+    def pair(n):
+        f = Fraction(*weight(n))
+        return f.numerator, f.denominator
+    return pair
 
 
 # Coefficients for the recurrence: signed, zero, integral, and rationals
@@ -351,33 +431,41 @@ def recurrence_cases(draw):
     p = draw(st.integers(min_value=-6, max_value=6))
     q = draw(st.integers(min_value=1, max_value=7))
     late = draw(st.integers(min_value=1, max_value=41))
-    return order, s, (kind, p, q, late)
+    k = draw(st.sampled_from([1, 1, 2, 3, 12, 2**70]))
+    return order, s, (kind, p, q, late, k)
 
 
 class TestRecurrenceKernel:
     @settings(max_examples=300, deadline=None)
     @given(recurrence_cases())
-    @example((6, [0, 1, 3, 4, 7, 6, 12], ("harmonic", 2, 1, 1)))  # psi: all int
-    @example((5, [0, 1, 0, 0, 0, 0], ("harmonic", 2, 1, 1)))  # 2^n/n!
+    @example((6, [0, 1, 3, 4, 7, 6, 12], ("harmonic", 2, 1, 1, 1)))  # psi: all int
+    @example((6, [0, 1, 3, 4, 7, 6, 12], ("harmonic", 4, 2, 1, 3)))  # psi as (12, 6n)
+    @example((5, [0, 1, 0, 0, 0, 0], ("harmonic", 2, 1, 1, 1)))  # 2^n/n!
     @example((8, [0, Fraction(1, 3), -2, 0, Fraction(5, 7), 1, 0, -1, Fraction(1, 2)],
-              ("late", 3, 5, 6)))
-    @example((6, [0, 2, 1, 0, 0, 0, 0], ("const", 1, 2, 1)))  # x_3 = 2 after x_2 = 3/2
-    @example((0, [7], ("const", 1, 2, 1)))
-    @example((4, [0, 0, 0, 0, 0], ("harmonic", 1, 3, 1)))
+              ("late", 3, 5, 6, 1)))
+    @example((8, [0, Fraction(1, 3), -2, 0, Fraction(5, 7), 1, 0, -1, Fraction(1, 2)],
+              ("late", -3, 5, 6, 6)))
+    @example((6, [0, 2, 1, 0, 0, 0, 0], ("const", 1, 2, 1, 1)))  # x_3 = 2 after x_2 = 3/2
+    @example((6, [0, 2, 1, 0, 0, 0, 0], ("const", 0, 2, 1, 5)))  # p = 0: x_n = 0 for n >= 1
+    @example((5, [Fraction(1, 9), Fraction(-1, 2), 3, 0, 1, 1], ("int", -2, 1, 1, 4)))
+    @example((0, [7], ("const", 1, 2, 1, 1)))
+    @example((4, [0, 0, 0, 0, 0], ("harmonic", 1, 3, 1, 2)))
     def test_matches_fraction_loop(self, case):
         order, s, params = case
         weight = _weight(*params)
         got = recurrence(QSeries(s), weight, order)
-        want = fraction_recurrence(s, weight, order)
+        want = fraction_recurrence(s, lambda n: Fraction(*weight(n)), order)
         assert list(got.coeffs) == want
         integral = all(w.denominator == 1 for w in want)
         assert {type(x) for x in got.coeffs} == {int if integral else Fraction}
+        # a factor common to p and q changes neither D nor any stored numerator
+        assert got.stored == recurrence(QSeries(s), _lowest(weight), order).stored
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            recurrence(QSeries([0, 1]), lambda n: 1, 2)
+            recurrence(QSeries([0, 1]), lambda n: (1, 1), 2)
         with pytest.raises(ValueError):
-            recurrence(QSeries([0, 1]), lambda n: 1, -1)
+            recurrence(QSeries([0, 1]), lambda n: (1, 1), -1)
 
 
 class TestPow:
